@@ -74,7 +74,6 @@ from .regions import (  # noqa: F401
 from .codec import (  # noqa: F401
     CompoundCodeSpec,
     ReceiverSpec,
-    TransmissionRecord,
     build_code,
     encode,
     sc_decode,

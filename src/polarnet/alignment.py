@@ -7,14 +7,17 @@ variable becomes good for both.  Repeating over doubled structures
 shrinks the incompatible fraction geometrically.
 
 Blocks are numbered 0..2^k-1; indices are the 1-based per-block bit
-positions.  A schedule also carries, per receiver, the decoding
-dependency DAG whose acyclicity certifies successive decodability.
+positions.  Each receiver decodes the slots ``(block, slot)`` of its
+monotone path; the pairs add dependencies across blocks, and a
+topological order of the resulting DAG certifies successive
+decodability.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
@@ -76,10 +79,6 @@ class AlignmentSchedule:
         """(block, index) slots whose variable is a jointly-bad XOR."""
         return {(p.block_a, p.index_a) for p in self.pairs_for_user(user)}
 
-    def promoted_by_combining(self, user: int) -> set[tuple[int, int]]:
-        """(block, index) slots promoted to jointly good."""
-        return {(p.block_b, p.index_b) for p in self.pairs_for_user(user)}
-
     def to_json(self) -> str:
         obj = {
             "num_users": self.num_users,
@@ -133,8 +132,8 @@ def _raw_entries(layout):
 
 
 def build_schedule(classifications, k: int, mode: str = "compound-two-user",
-                   first_user: int = 1, blocklength: int | None = None,
-                   receiver_paths=None) -> AlignmentSchedule:
+                   first_user: int = 1,
+                   blocklength: int | None = None) -> AlignmentSchedule:
     """Build the k-level recursive combining plan.
 
     ``classifications`` maps user id to an object with ``type_II`` and
@@ -142,8 +141,7 @@ def build_schedule(classifications, k: int, mode: str = "compound-two-user",
     compound-two-user mode levels alternate between the two users
     starting at ``first_user``; in k-user-sequential mode they cycle
     through users 1..K.  Every emitted schedule is validated for
-    successive decodability under ``receiver_paths`` (defaults to plain
-    user-concatenation orders).
+    successive decodability under the plain user-concatenation order.
     """
     if k < 0:
         raise ScheduleError("level count must be nonnegative")
@@ -213,9 +211,7 @@ def build_schedule(classifications, k: int, mode: str = "compound-two-user",
         }
         levels.append(AlignmentLevel(user, pairs, left_II, left_III, after))
     schedule = AlignmentSchedule(K, N, levels, base, layouts=layout)
-    paths = receiver_paths or [_concatenation_path(K, N)]
-    for path in paths:
-        validate_successive_decodability(schedule, path)
+    validate_successive_decodability(schedule, _concatenation_path(K, N))
     return schedule
 
 
@@ -224,70 +220,115 @@ def _concatenation_path(K: int, N: int) -> MonotonePath:
     return MonotonePath(seq, K)
 
 
-def decoding_dag(schedule: AlignmentSchedule, path: MonotonePath) -> nx.DiGraph:
-    """Dependency DAG of one receiver: nodes are per-block slot variables.
+def _dependency_edges(schedule: AlignmentSchedule, path: MonotonePath,
+                      decode_set=None) -> list:
+    """Cross-block edges of one receiver's decoding DAG.
 
-    Within a block, slots chain in the receiver's monotone-path order.
-    For each combined pair, the XOR variable needs both block prefixes,
-    the promoted variable needs the XOR variable, and the replaced slot
-    needs the promoted variable.
+    Nodes are ``(block, slot)``, where slot indexes the receiver's
+    monotone path; within a block, slot s precedes slot s + 1 (implicit,
+    not listed).  ``decode_set`` maps path-local user j to global user
+    ``decode_set[j - 1]`` (default 1..K).  For each pair of a decoded
+    user, the promoted slot needs the prefix before the XOR slot, and
+    the XOR slot needs the promoted slot.
     """
-    K, N = schedule.num_users, schedule.blocklength
-    if path.num_users != K or path.blocklength != N:
+    N = schedule.blocklength
+    if decode_set is None:
+        decode_set = tuple(range(1, schedule.num_users + 1))
+    if path.num_users != len(decode_set) or path.blocklength != N:
         raise ScheduleError("receiver path does not match schedule shape")
-    g = nx.DiGraph()
-    nblocks = schedule.total_blocks
-    slots = list(path.user_sequence)
-    # slot position of user u's j-th occurrence
-    pos = {}
-    counts = {}
-    for s, u in enumerate(slots):
-        counts[u] = counts.get(u, 0) + 1
-        pos[(u, counts[u])] = s
-    for b in range(nblocks):
-        for s in range(len(slots) - 1):
-            g.add_edge(("v", b, s), ("v", b, s + 1))
-    for u in range(1, K + 1):
+    pos = {u: [] for u in decode_set}   # pos[u][i - 1]: slot of u's bit i
+    for s, lu in enumerate(path.user_sequence):
+        pos[decode_set[lu - 1]].append(s)
+    edges = []
+    for u in decode_set:
         for p in schedule.pairs_for_user(u):
-            sa = pos[(u, p.index_a)]
-            sb = pos[(u, p.index_b)]
-            xnode = ("x", p.block_a, sa, p.block_b, sb)
+            sa = pos[u][p.index_a - 1]
+            sb = pos[u][p.index_b - 1]
             if sa > 0:
-                g.add_edge(("v", p.block_a, sa - 1), xnode)
-            if sb > 0:
-                g.add_edge(("v", p.block_b, sb - 1), xnode)
-            g.add_edge(xnode, ("v", p.block_b, sb))
-            g.add_edge(("v", p.block_b, sb), ("v", p.block_a, sa))
+                edges.append(((p.block_a, sa - 1), (p.block_b, sb)))
+            edges.append(((p.block_b, sb), (p.block_a, sa)))
+    return edges
+
+
+def decoding_dag(schedule: AlignmentSchedule, path: MonotonePath,
+                 decode_set=None) -> nx.DiGraph:
+    """Dependency DAG of one receiver, as a graph (see _dependency_edges)."""
+    edges = _dependency_edges(schedule, path, decode_set)
+    L = len(path.user_sequence)
+    g = nx.DiGraph()
+    for b in range(schedule.total_blocks):
+        g.add_nodes_from((b, s) for s in range(L))
+        g.add_edges_from(((b, s), (b, s + 1)) for s in range(L - 1))
+    g.add_edges_from(edges)
     return g
 
 
-def validate_successive_decodability(schedule: AlignmentSchedule,
-                                     path: MonotonePath) -> None:
-    g = decoding_dag(schedule, path)
-    if nx.is_directed_acyclic_graph(g):
-        return
-    cycle = nx.find_cycle(g)
-    raise ScheduleError(
-        "combining induces a circular decoding dependency: "
-        + " -> ".join(str(e[0]) for e in cycle),
-        cycle=cycle,
-    )
+def decoding_order(schedule: AlignmentSchedule, path: MonotonePath,
+                   decode_set=None) -> list[tuple[int, int]]:
+    """The lexicographically smallest topological order of the DAG.
 
-
-def decoding_order(schedule: AlignmentSchedule, path: MonotonePath):
-    """A linear extension of the dependency DAG, with parallel groups.
-
-    Returns (order, depth) where order is the node list and depth maps
-    each node to its longest-path depth; nodes of equal depth can be
-    decoded in parallel.
+    Kahn's algorithm over ``(block, slot)`` nodes with a heap.  Raises
+    ScheduleError, carrying one dependency cycle, if the DAG is cyclic.
     """
-    g = decoding_dag(schedule, path)
-    order = list(nx.lexicographical_topological_sort(g, key=str))
-    depth = {}
-    for node in order:
-        preds = list(g.predecessors(node))
-        depth[node] = 1 + max((depth[p] for p in preds), default=-1)
-    return order, depth
+    edges = _dependency_edges(schedule, path, decode_set)
+    L = len(path.user_sequence)
+    succ = {}
+    indeg = {(b, s): int(s > 0)
+             for b in range(schedule.total_blocks) for s in range(L)}
+    for a, c in edges:
+        succ.setdefault(a, []).append(c)
+        indeg[c] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        b, s = v
+        nxt = succ.get(v, [])
+        if s + 1 < L:
+            nxt = nxt + [(b, s + 1)]
+        for c in nxt:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, c)
+    if len(order) < len(indeg):
+        cycle = _cycle_among_blocked(indeg, edges)
+        shown = " -> ".join(map(str, cycle[:8]))
+        raise ScheduleError(
+            f"combining induces a circular decoding dependency through "
+            f"{len(cycle)} slots: {shown}" + (" -> ..." if len(cycle) > 8 else ""),
+            cycle=cycle,
+        )
+    return order
+
+
+def _cycle_among_blocked(indeg, edges) -> list[tuple[int, int]]:
+    """A cycle through the nodes Kahn's algorithm could not emit.
+
+    Each such node keeps an unemitted predecessor, so walking
+    predecessors from any of them must revisit a node.
+    """
+    preds = {}
+    for a, c in edges:
+        preds.setdefault(c, []).append(a)
+    blocked = {v for v, d in indeg.items() if d > 0}
+    walk, seen = [], {}
+    v = min(blocked)
+    while v not in seen:
+        seen[v] = len(walk)
+        walk.append(v)
+        b, s = v
+        cands = preds.get(v, []) + ([(b, s - 1)] if s > 0 else [])
+        v = next(p for p in cands if p in blocked)
+    return walk[seen[v]:][::-1]
+
+
+def validate_successive_decodability(schedule: AlignmentSchedule,
+                                     path: MonotonePath,
+                                     decode_set=None) -> None:
+    """Raise ScheduleError unless the receiver can decode successively."""
+    decoding_order(schedule, path, decode_set)
 
 
 def incompatible_fraction(schedule: AlignmentSchedule, user: int):

@@ -9,11 +9,11 @@ split all run on exact entropy evaluators from :mod:`polarnet.exact`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DiscreteChannel, UnsupportedChannelError
+from .channels import DiscreteChannel, KernelSizeError, UnsupportedChannelError
 from .erasure import ParityLinkedErasureMAC, two_user_adder_equivalent
 from .exact import Adder3Evaluator, BruteForceEvaluator, ParityLinkedEvaluator
 
@@ -79,9 +79,6 @@ class MonotonePath:
         for u, r in self.runs():
             seq.extend([u] * (r * factor))
         return MonotonePath(tuple(seq), self.num_users)
-
-    def user_positions(self, user: int) -> list[int]:
-        return [i for i, u in enumerate(self.user_sequence) if u == user]
 
 
 def scale_path(path: MonotonePath, factor: int) -> MonotonePath:
@@ -234,17 +231,6 @@ class KUserSplit:
         return max(abs(r - t) for r, t in zip(self.rates, self.targets))
 
 
-def _subset_mi(ev, ctx, subset) -> float:
-    """(1/N) I(U_subset^N; Y, current context prefixes)."""
-    N = ev.N
-    with_j = list(ctx)
-    for u in subset:
-        with_j[u - 1] = N
-    h1 = ev.cond_entropy(with_j)
-    h0 = ev.cond_entropy(ctx)
-    return (len(subset) * N - (h1 - h0)) / N
-
-
 def find_k_user_split(mac, target, eps: float, N_max: int,
                       N_min: int = 4) -> KUserSplit:
     """Recursive construction of a K-user monotone path for a face target.
@@ -261,11 +247,13 @@ def find_k_user_split(mac, target, eps: float, N_max: int,
     target = tuple(float(t) for t in target)
     K = len(target)
     best = None
+    limit = ""
     N = N_min
     while N <= N_max:
         try:
             ev = make_evaluator(mac, N)
-        except Exception:
+        except KernelSizeError as e:
+            limit = f"; no evaluator at N={N}: {e}"
             break
         srate = ev.K - ev.cond_entropy((N,) * K) / N
         slack = srate - sum(target)
@@ -287,9 +275,10 @@ def find_k_user_split(mac, target, eps: float, N_max: int,
             return result
         N *= 2
     if best is None:
-        raise NotFoundError("no evaluator available for any blocklength")
+        raise NotFoundError("no evaluator available for any blocklength" + limit)
     raise NotFoundError(
-        f"no split within eps={eps} up to N_max={N_max}", best_gap=best.max_gap
+        f"no split within eps={eps} up to N={N // 2}{limit}",
+        best_gap=best.max_gap,
     )
 
 

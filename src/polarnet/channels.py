@@ -19,7 +19,6 @@ Conventions
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +112,6 @@ class DiscreteChannel:
         return cls((2,), 3, k)
 
     @classmethod
-    def noiseless_binary(cls) -> "DiscreteChannel":
-        return cls((2,), 2, np.eye(2))
-
-    @classmethod
     def binary_adder(cls, num_senders: int = 2) -> "DiscreteChannel":
         """Noiseless adder MAC: Y = sum of the binary inputs."""
         n = int(num_senders)
@@ -159,32 +154,6 @@ class DiscreteChannel:
         return {"inputs": list(self.input_arities),
                 "outputs": self.output_arity,
                 "kernel": self.kernel.tolist()}
-
-    # -- transforms ------------------------------------------------------
-
-    def canonicalize(self, tol: float = 1e-12) -> "DiscreteChannel":
-        """Merge outputs whose likelihood columns are proportional.
-
-        Bounds alphabet growth under repeated combining without changing
-        any mutual-information quantity.
-        """
-        cols = self.kernel.T  # (Y, X)
-        groups: list[list[int]] = []
-        reps: list[np.ndarray] = []
-        for y, col in enumerate(cols):
-            mass = col.sum()
-            if mass <= tol:
-                continue
-            direction = col / mass
-            for g, rep in zip(groups, reps):
-                if np.all(np.abs(direction - rep) <= tol):
-                    g.append(y)
-                    break
-            else:
-                groups.append([y])
-                reps.append(direction)
-        merged = np.stack([cols[g].sum(axis=0) for g in groups], axis=1)
-        return DiscreteChannel(self.input_arities, merged.shape[1], merged)
 
 
 @dataclass(frozen=True)

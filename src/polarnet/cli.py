@@ -21,9 +21,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
+from .alignment import ScheduleError
 from .channels import (
     DimensionError,
     DiscreteChannel,
@@ -264,9 +263,11 @@ def cmd_build(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     h = _config_hash(cfg)
-    spec = _build_from_config(cfg)
     trials = int(cfg.get("trials", 1000))
     chunk = int(cfg.get("chunk", 2048))
+    if trials < 1 or chunk < 1:
+        raise ConfigError("trials and chunk must be positive")
+    spec = _build_from_config(cfg)
     errors, n = simulate(spec, trials, seed=args.seed, chunk=chunk,
                          threads=args.threads)
     lines = ["receiver,user,errors,trials,ber,ci_low,ci_high"]
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (PreconditionError, NotFoundError, RegionError, DimensionError,
-            UnsupportedChannelError, KernelSizeError) as e:
+            UnsupportedChannelError, KernelSizeError, ScheduleError) as e:
         print(f"precondition error: {e}", file=sys.stderr)
         return 3
 

@@ -19,15 +19,13 @@ from .alignment import (
     AlignmentSchedule,
     build_schedule,
     combined_eps,
-    decoding_dag,
+    decoding_order,
 )
 from .chains import (
     MonotonePath,
-    NotFoundError,
     PreconditionError,
     find_two_user_split,
     find_k_user_split,
-    two_user_path,
 )
 from .erasure import (
     ParityLinkedErasureMAC,
@@ -36,7 +34,7 @@ from .erasure import (
     sc_tree_generator,
     sym_xor,
 )
-from .polar import IndexClassification, classify
+from .polar import classify
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,7 @@ class CompoundCodeSpec:
     receiver_rates: list[dict[int, float]]   # per receiver: user -> R_j
     jointly_good: dict[int, int]         # user -> |G inter G|
     var_eps: list[dict]                  # per receiver: (user,(block,index)) -> eps
+    orders: list[list[tuple[int, int]]]  # per receiver: (block, slot) decode order
     shortfall: dict[int, float] = field(default_factory=dict)
 
     @property
@@ -201,13 +200,10 @@ def build_code(receivers, target, N: int, k: int,
     mode = "compound-two-user" if (num_users == 2 and len(receivers) == 2
                                    and all(len(r.decode_set) == 2 for r in receivers)) \
         else "k-user-sequential"
-    val_paths = []
-    for rec, p in zip(receivers, paths):
-        val_paths.append((p, rec.decode_set))
-    schedule = build_schedule(cls, k, mode=mode, blocklength=N,
-                              receiver_paths=None)
-    for p, ds in val_paths:
-        _validate_receiver(schedule, p, ds)
+    schedule = build_schedule(cls, k, mode=mode, blocklength=N)
+    # computing each receiver's order also validates its decodability
+    orders = [decoding_order(schedule, p, rec.decode_set)
+              for rec, p in zip(receivers, paths)]
 
     M = (1 << k) * N
     var_eps = []
@@ -259,7 +255,7 @@ def build_code(receivers, target, N: int, k: int,
         paths=paths, schedule=schedule, info_sets=info_sets,
         frozen_sets=frozen_sets, thresholds=(delta_good, delta_bad),
         target=target, receiver_rates=receiver_rates,
-        jointly_good=jointly_good, var_eps=var_eps,
+        jointly_good=jointly_good, var_eps=var_eps, orders=orders,
     )
     for u in range(1, num_users + 1):
         want = min(rr[u] for rr in receiver_rates if u in rr)
@@ -267,40 +263,6 @@ def build_code(receivers, target, N: int, k: int,
         if have < want - split_eps:
             spec.shortfall[u] = want - have
     return spec
-
-
-def _validate_receiver(schedule: AlignmentSchedule, path: MonotonePath,
-                       decode_set) -> None:
-    """Successive-decodability check for a decode-set receiver."""
-    from .alignment import ScheduleError
-    import networkx as nx
-
-    N = schedule.blocklength
-    slots = list(path.user_sequence)
-    pos = {}
-    counts = {}
-    for s, lu in enumerate(slots):
-        u = decode_set[lu - 1]
-        counts[u] = counts.get(u, 0) + 1
-        pos[(u, counts[u])] = s
-    g = nx.DiGraph()
-    for b in range(schedule.total_blocks):
-        for s in range(len(slots) - 1):
-            g.add_edge(("v", b, s), ("v", b, s + 1))
-    for u in decode_set:
-        for p in schedule.pairs_for_user(u):
-            sa = pos[(u, p.index_a)]
-            sb = pos[(u, p.index_b)]
-            xnode = ("x", p.block_a, sa, p.block_b, sb)
-            if sa > 0:
-                g.add_edge(("v", p.block_a, sa - 1), xnode)
-            if sb > 0:
-                g.add_edge(("v", p.block_b, sb - 1), xnode)
-            g.add_edge(xnode, ("v", p.block_b, sb))
-            g.add_edge(("v", p.block_b, sb), ("v", p.block_a, sa))
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        raise ScheduleError("receiver decoding order is cyclic", cycle=cycle)
 
 
 # -- encoding ------------------------------------------------------------
@@ -391,10 +353,10 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
         offsets[u] = polar_transform_bits(
             np.asarray(outputs["parity"][u], dtype=np.int8)
         )
-    xor_slots = {u: spec.schedule.frozen_by_combining(u) for u in ds}
-    promoted = {}
+    xor_pair, promoted = {}, {}   # (user, block, index) -> its pair
     for u in ds:
         for p in spec.schedule.pairs_for_user(u):
+            xor_pair[(u, p.block_a, p.index_a)] = p
             promoted[(u, p.block_b, p.index_b)] = p
     info = {u: set(spec.info_sets[u]) for u in ds}
     cursors = [_TreeCursor(anchor[..., b, :]) for b in range(nb)]
@@ -404,26 +366,24 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     def record(u, b, i, val):
         var_values[(u, b, i)] = val
 
-    slots = list(path.user_sequence)
-    order = _linear_extension(spec, receiver)
+    # slot s of the path holds bit i of global user u
+    slot_var = []
     occ = {}
-    for (b, s) in order:
-        lu = slots[s]
+    for lu in path.user_sequence:
         u = ds[lu - 1]
-        occ[(b, u)] = occ.get((b, u), 0) + 1
-        i = occ[(b, u)]
+        occ[u] = occ.get(u, 0) + 1
+        slot_var.append((u, occ[u]))
+    for (b, s) in spec.orders[receiver]:
+        u, i = slot_var[s]
         cur = cursors[b]
         if i in cur.values:
             val = sym_xor(cur.values[i], offsets[u][..., b, i - 1])
             record(u, b, i, val)
             continue
         off = offsets[u][..., b, i - 1]
-        if (b, i) in xor_slots[u]:
+        if (u, b, i) in xor_pair:
             # frozen XOR variable; raw bit follows from the partner
-            pair = next(
-                p for p in spec.schedule.pairs_for_user(u)
-                if (p.block_a, p.index_a) == (b, i)
-            )
+            pair = xor_pair[(u, b, i)]
             val = var_values[(u, pair.block_b, pair.index_b)]  # xor var is 0
             cur.push(i, sym_xor(val, off))
             record(u, b, i, val)
@@ -461,38 +421,6 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     return messages, failure
 
 
-def _linear_extension(spec: CompoundCodeSpec, receiver: int):
-    """Dependency-respecting (block, slot) order for one receiver."""
-    rec = spec.receivers[receiver]
-    path = spec.paths[receiver]
-    ds = rec.decode_set
-    N = spec.N
-    nb = spec.schedule.total_blocks
-    slots = list(path.user_sequence)
-    pos = {}
-    counts = {}
-    for s, lu in enumerate(slots):
-        u = ds[lu - 1]
-        counts[u] = counts.get(u, 0) + 1
-        pos[(u, counts[u])] = s
-    import networkx as nx
-
-    g = nx.DiGraph()
-    nodes = [(b, s) for b in range(nb) for s in range(len(slots))]
-    g.add_nodes_from(nodes)
-    for b in range(nb):
-        for s in range(len(slots) - 1):
-            g.add_edge((b, s), (b, s + 1))
-    for u in ds:
-        for p in spec.schedule.pairs_for_user(u):
-            sa = pos[(u, p.index_a)]
-            sb = pos[(u, p.index_b)]
-            if sa > 0:
-                g.add_edge((p.block_a, sa - 1), (p.block_b, sb))
-            g.add_edge((p.block_b, sb), (p.block_a, sa))
-    return list(nx.lexicographical_topological_sort(g))
-
-
 # -- channel simulation --------------------------------------------------
 
 
@@ -500,7 +428,6 @@ def transmit(spec: CompoundCodeSpec, receiver: int, codewords, rng):
     """Sample one receiver's observations of the transmitted codewords."""
     rec = spec.receivers[receiver]
     ds = rec.decode_set
-    nb = spec.schedule.total_blocks
     N = spec.N
     anchor_x = np.asarray(codewords[ds[0]], dtype=np.int8)
     leaf_eps = rec.mac.leaf_eps(N)
@@ -511,14 +438,6 @@ def transmit(spec: CompoundCodeSpec, receiver: int, codewords, rng):
         for u in ds[1:]
     }
     return {"anchor": anchor, "parity": parity}
-
-
-@dataclass
-class TransmissionRecord:
-    codewords: dict
-    outputs: list
-    decoded: list
-    errors: list
 
 
 def _simulate_chunk(spec: CompoundCodeSpec, t: int, seed: int, ci: int):
@@ -548,6 +467,8 @@ def simulate(spec: CompoundCodeSpec, trials: int, seed: int = 0,
     parallel schedule.  Returns per-receiver per-user block error
     counts.
     """
+    if trials < 1 or chunk < 1:
+        raise ValueError("trials and chunk must be positive")
     sizes = []
     done = 0
     while done < trials:

@@ -144,16 +144,6 @@ class ParityLinkedErasureMAC:
                 frontier = k
         return mi
 
-    def prefix_entropy(self, prefix_lens, N: int) -> float:
-        """H(U_1^{a_1}, ..., U_K^{a_K} | Y^N), exact.
-
-        Equals the sum of anchor bit-channel erasure probabilities up to
-        the largest prefix (the parities collapse all users onto the
-        anchor transform).
-        """
-        top = max(prefix_lens) if len(prefix_lens) else 0
-        return float(np.sum(self.tree_eps(N)[:top]))
-
 
 def two_user_adder_equivalent() -> ParityLinkedErasureMAC:
     """The binary adder MAC Y = X + W, in parity-linked form.
@@ -175,11 +165,6 @@ def sym_xor(a, b):
     out = np.bitwise_xor(a, b)
     unknown = (a > 1) | (b > 1)
     return np.where(unknown, UNKNOWN, out).astype(np.int8)
-
-
-def sym_f(a, b):
-    """Check-node (minus) combination: known only if both are known."""
-    return sym_xor(a, b)
 
 
 def sym_g(a, b, ua):
@@ -220,21 +205,8 @@ def sc_tree_generator(leaf_msgs: np.ndarray, offset: int = 0):
         return np.asarray(decided, dtype=np.int8)[..., None]
     a = leaf_msgs[..., 0::2]
     b = leaf_msgs[..., 1::2]
-    ua = yield from sc_tree_generator(sym_f(a, b), offset)
+    ua = yield from sc_tree_generator(sym_xor(a, b), offset)
     xa = polar_transform_bits(ua)
     ub = yield from sc_tree_generator(sym_g(a, b, xa), offset + N // 2)
     return np.concatenate([ua, ub], axis=-1)
 
-
-def genie_posteriors(leaf_msgs: np.ndarray, true_bits: np.ndarray) -> np.ndarray:
-    """Posterior symbols of every input bit with genie-provided prefixes."""
-    out = np.empty_like(true_bits, dtype=np.int8)
-    gen = sc_tree_generator(leaf_msgs)
-    try:
-        idx, post = next(gen)
-        while True:
-            out[..., idx] = post
-            idx, post = gen.send(true_bits[..., idx].astype(np.int8))
-    except StopIteration:
-        pass
-    return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,7 @@ from .channels import (
     UnsupportedChannelError,
     KernelSizeError,
 )
-from .erasure import (
-    bec_bit_channel_eps,
-    genie_posteriors,
-    polar_transform_bits,
-    UNKNOWN,
-)
+from .erasure import bec_bit_channel_eps, polar_transform_bits
 
 
 class ConfigurationError(Exception):

@@ -74,15 +74,6 @@ class RatePolytope:
             ineqs.append(Inequality(coeffs, float(c), lbl))
         return cls(dimension, ineqs)
 
-    def subset_bound(self, J) -> float:
-        """Tightest bound on sum_{j in J} R_j implied by the system."""
-        c = [-(1.0 if j in J else 0.0) for j in range(self.dimension)]
-        res = linprog(c, A_ub=self._A(), b_ub=self._b(),
-                      bounds=[(0, None)] * self.dimension, method="highs")
-        if not res.success:
-            raise RegionError("subset bound LP failed: " + res.message)
-        return -res.fun
-
     def _A(self):
         return np.array([[float(c) for c in q.coeffs] for q in self.inequalities]
                         or np.zeros((0, self.dimension)))

@@ -97,7 +97,7 @@ class TestDecodability:
             mode="compound-two-user", blocklength=8)
         path = MonotonePath.parse("1^8 2^8")
         validate_successive_decodability(s, path)
-        order, depth = decoding_order(s, path)
+        order = decoding_order(s, path)
         g = decoding_dag(s, path)
         seen = set()
         for node in order:

@@ -104,3 +104,15 @@ class TestKUserSplit:
         assert res.decisions, "expected at least one tightness decision"
         for d in res.decisions:
             assert abs(d.lhs - d.rhs) <= 1.0 / 8 + 1e-9
+
+    def test_search_limit_is_reported(self):
+        # Adder3Evaluator stops at N = 8 and brute force cannot reach
+        # N = 16, so the error names N = 8, not the requested N_max
+        adder3 = DiscreteChannel.binary_adder(3)
+        p = np.array([1, 3, 3, 1]) / 8
+        h_y = float(-(p * np.log2(p)).sum())
+        target = (0.7, 0.6, h_y - 1.3)
+        with pytest.raises(NotFoundError) as ei:
+            find_k_user_split(adder3, target, 0.05, N_max=512)
+        msg = str(ei.value)
+        assert "up to N=8;" in msg and "N=16" in msg and "512" not in msg

@@ -45,6 +45,22 @@ class TestExitCodes:
         assert main(["build", "--config", path,
                      "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("cfg", [
+        dict(BUILD_CFG, k=-1),
+        dict(BUILD_CFG, N=512, k=2),   # its decoding order is cyclic
+    ], ids=["negative-k", "cyclic-order"])
+    def test_schedule_error(self, tmp_path, cfg):
+        path = write(tmp_path, "c.json", cfg)
+        assert main(["build", "--config", path,
+                     "--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("extra", [{"chunk": 0}, {"chunk": -3},
+                                       {"trials": 0}])
+    def test_nonpositive_simulation_sizes(self, tmp_path, extra):
+        path = write(tmp_path, "c.json", dict(BUILD_CFG, **extra))
+        assert main(["simulate", "--config", path,
+                     "--out-dir", str(tmp_path)]) == 2
+
     def test_success(self, tmp_path):
         cfg = write(tmp_path, "c.json",
                     {"channel": {"type": "bec", "epsilon": 0.5}, "n": 4})

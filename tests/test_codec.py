@@ -1,5 +1,10 @@
+import hashlib
+
+import networkx as nx
 import numpy as np
 import pytest
+
+from polarnet.alignment import decoding_dag
 
 from polarnet.chains import PreconditionError
 from polarnet.codec import (
@@ -125,6 +130,56 @@ class TestDecode:
         a = simulate(spec, trials=200, seed=3, chunk=64)
         b = simulate(spec, trials=200, seed=3, chunk=64, threads=4)
         assert a == b
+
+    @pytest.mark.parametrize("trials,chunk", [(10, 0), (10, -5), (0, 64), (-1, 64)])
+    def test_simulate_rejects_nonpositive_sizes(self, trials, chunk):
+        spec = two_user_compound(N=32, k=1)
+        with pytest.raises(ValueError):
+            simulate(spec, trials=trials, seed=0, chunk=chunk)
+
+
+class TestSharedOrder:
+    """The decode order is computed once in build_code and reused."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        recs = [ReceiverSpec(ParityLinkedErasureMAC(2, (0.25,)), (1, 2)),
+                ReceiverSpec(ParityLinkedErasureMAC(2, (0.0, 0.5)), (1, 2))]
+        return build_code(recs, (0.85, 0.85), N=128, k=3,
+                          delta_good=1 - 1e-4, delta_bad=0.1)
+
+    def test_code_has_pairs(self, spec):
+        assert sum(len(spec.schedule.pairs_for_user(u)) for u in (1, 2)) == 4
+
+    def test_orders_match_networkx(self, spec):
+        for r, rec in enumerate(spec.receivers):
+            g = decoding_dag(spec.schedule, spec.paths[r], rec.decode_set)
+            assert spec.orders[r] == list(nx.lexicographical_topological_sort(g))
+
+    def test_decode_unchanged(self, spec):
+        # The digest was recorded with the decoder that built its order
+        # per call with networkx; extra erasures make about half of the
+        # trials of each receiver fail.
+        rng = np.random.default_rng(2024)
+        msgs = {u: rng.integers(0, 2, (64, len(spec.info_sets[u])),
+                                dtype=np.int8) for u in (1, 2)}
+        cw, _ = encode(spec, msgs)
+        h = hashlib.sha256()
+        fails = []
+        for r, rec in enumerate(spec.receivers):
+            out = transmit(spec, r, cw, rng)
+            extra = rng.random(out["anchor"].shape) < (
+                rng.uniform(0, 2.0, (64, 1, 1)) * rec.mac.leaf_eps(spec.N))
+            out["anchor"] = np.where(extra, 2, out["anchor"]).astype(np.int8)
+            est, fail = sc_decode(spec, r, out)
+            fails.append(int(fail.sum()))
+            for u in (1, 2):
+                assert not ((est[u] != msgs[u]).any(axis=-1) & ~fail).any()
+                h.update(est[u].tobytes())
+            h.update(fail.tobytes())
+        assert fails == [26, 30]
+        assert h.hexdigest() == (
+            "af96dfdf9305d0c8b239dfd6120e7364ac7d33e100824807d0fcd00fd42b0294")
 
 
 class TestTheorem:

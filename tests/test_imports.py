@@ -1,0 +1,43 @@
+"""Every module under src/polarnet uses each name it imports.
+
+No linter runs on this package, so unused imports are caught here with
+the standard-library ``ast`` module.  ``__init__.py`` is exempt: its
+imports are the package's public re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import polarnet
+
+MODULES = sorted(
+    p for p in pathlib.Path(polarnet.__file__).parent.glob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_detects_unused_import():
+    src = "import os\nimport json as js\nfrom math import pi, tau\nprint(js, tau)\n"
+    assert unused_imports(src) == ["os (line 1)", "pi (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
