@@ -3,7 +3,10 @@
 Subcommands: ``analyze`` (bit-channel stats / path rate profiles),
 ``region`` (rate-region polytopes incl. Han-Kobayashi and superposition
 cases), ``build`` (compound code construction + achievability report),
-``simulate`` (Monte-Carlo block-error campaigns).  All outputs are CSV
+``simulate`` (Monte-Carlo block-error campaigns; the ``errors`` column
+of a user is its receiver's block-failure count, the trials in which
+that receiver left some information bit of any user it decodes erased,
+so every user of a receiver shows the same count).  All outputs are CSV
 or JSON, deterministic byte-for-byte given (config, seed) regardless of
 ``--threads``; every row or document carries the config hash and the
 package version.
@@ -39,7 +42,12 @@ from .chains import (
 )
 from .codec import ReceiverSpec, build_code, simulate, theorem1_check
 from .erasure import ParityLinkedErasureMAC
-from .polar import EstimatorConfig, synthesize_p2p, stats_to_csv
+from .polar import (
+    ConfigurationError,
+    EstimatorConfig,
+    synthesize_p2p,
+    stats_to_csv,
+)
 from .regions import (
     RegionError,
     hk_region,
@@ -76,6 +84,19 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _value(cfg: dict, key: str, kind, default=None):
+    """``kind(cfg[key])``; the field is required unless a default is given."""
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from e
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def _load_channel(obj):
     if not isinstance(obj, dict):
         raise ConfigError("channel description must be an object")
@@ -89,9 +110,11 @@ def _load_channel(obj):
 
 def _load_mac(obj):
     if isinstance(obj, dict) and obj.get("type") == "parity-linked":
-        return ParityLinkedErasureMAC(
-            int(obj["users"]), tuple(float(e) for e in obj["eps_tile"])
-        )
+        try:
+            return ParityLinkedErasureMAC(int(obj["users"]),
+                                          _floats(obj["eps_tile"]))
+        except (KeyError, ValueError, TypeError) as e:
+            raise ConfigError(f"bad parity-linked MAC: {e}") from e
     return _load_channel(obj)
 
 
@@ -139,7 +162,7 @@ def cmd_analyze(cfg: dict, args) -> int:
         mode = "exact"
     if "path" in cfg:
         mac = _load_mac(_require(cfg, "mac"))
-        path = MonotonePath.parse(cfg["path"])
+        path = _value(cfg, "path", MonotonePath.parse)
         prof = path_rates(mac, path)
         buf = io.StringIO()
         buf.write("index,mi\n")
@@ -150,9 +173,11 @@ def cmd_analyze(cfg: dict, args) -> int:
                           _stamp_csv(buf.getvalue(), h))
     else:
         ch = _load_channel(_require(cfg, "channel"))
-        n = int(_require(cfg, "n"))
+        n = _value(cfg, "n", int)
+        if n < 0:
+            raise ConfigError(f"n must be non-negative, got {n}")
         est = EstimatorConfig(
-            trials=int(cfg.get("trials", 10_000)), seed=args.seed
+            trials=_value(cfg, "trials", int, 10_000), seed=args.seed
         )
         stats = synthesize_p2p(ch, n, est,
                                mode=mode if mode in ("exact", "mc") else "auto")
@@ -185,7 +210,8 @@ def cmd_region(cfg: dict, args) -> int:
     elif task == "hk":
         ch = _load_channel(_require(cfg, "channel"))
         maps = _require(cfg, "maps")
-        arities = tuple(int(a) for a in _require(cfg, "output_arities"))
+        arities = _value(cfg, "output_arities",
+                         lambda v: tuple(int(a) for a in v))
         dims = (len(maps[0]), len(maps[0][0]), len(maps[1]), len(maps[1][0]))
         p = _load_distribution(cfg.get("p"), dims)
         region = hk_region(ch, p, maps, arities)
@@ -202,7 +228,7 @@ def cmd_region(cfg: dict, args) -> int:
         ch1 = _load_channel(_require(cfg, "channel_y"))
         ch2 = _load_channel(_require(cfg, "channel_z"))
         holds, witness, label = strong_interference_check(
-            ch1, ch2, int(cfg.get("grid_resolution", 9)))
+            ch1, ch2, _value(cfg, "grid_resolution", int, 9))
         payload = {"task": task, "holds": holds, "witness": witness,
                    "status": label}
     else:
@@ -225,21 +251,24 @@ def cmd_region(cfg: dict, args) -> int:
 def _build_from_config(cfg: dict):
     receivers = []
     for entry in _require(cfg, "receivers"):
-        mac = ParityLinkedErasureMAC(
-            len(entry["decode_set"]),
-            tuple(float(e) for e in entry["eps_tile"]),
-        )
-        receivers.append(ReceiverSpec(mac, tuple(entry["decode_set"])))
+        try:
+            mac = ParityLinkedErasureMAC(len(entry["decode_set"]),
+                                         _floats(entry["eps_tile"]))
+            receivers.append(ReceiverSpec(mac, tuple(entry["decode_set"])))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad receiver {entry!r}: {e}") from e
+    target = _value(cfg, "target", _floats)
+    N = _value(cfg, "N", int)
+    k = _value(cfg, "k", int)
+    delta_good = _value(cfg, "delta_good", float, 0.99)
+    delta_bad = _value(cfg, "delta_bad", float, 0.01)
+    split_eps = _value(cfg, "split_eps", float, 0.05)
     try:
         return build_code(
-            receivers,
-            tuple(float(t) for t in _require(cfg, "target")),
-            N=int(_require(cfg, "N")),
-            k=int(_require(cfg, "k")),
-            delta_good=float(cfg.get("delta_good", 0.99)),
-            delta_bad=float(cfg.get("delta_bad", 0.01)),
+            receivers, target, N=N, k=k,
+            delta_good=delta_good, delta_bad=delta_bad,
             strategy=cfg.get("strategy", "equal-sum"),
-            split_eps=float(cfg.get("split_eps", 0.05)),
+            split_eps=split_eps,
         )
     except (KeyError, TypeError) as e:
         raise ConfigError(f"bad build config: {e}") from e
@@ -248,7 +277,7 @@ def _build_from_config(cfg: dict):
 def cmd_build(cfg: dict, args) -> int:
     h = _config_hash(cfg)
     spec = _build_from_config(cfg)
-    report = theorem1_check(spec, float(cfg.get("epsilon", 0.05)))
+    report = theorem1_check(spec, _value(cfg, "epsilon", float, 0.05))
     spec_path = _write(args.out_dir, "code_spec.json",
                        _json_doc(json.loads(spec.to_json()), h))
     _write(args.out_dir, "theorem_report.json", _json_doc({
@@ -263,8 +292,8 @@ def cmd_build(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     h = _config_hash(cfg)
-    trials = int(cfg.get("trials", 1000))
-    chunk = int(cfg.get("chunk", 2048))
+    trials = _value(cfg, "trials", int, 1000)
+    chunk = _value(cfg, "chunk", int, 2048)
     if trials < 1 or chunk < 1:
         raise ConfigError("trials and chunk must be positive")
     spec = _build_from_config(cfg)
@@ -318,7 +347,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(cfg, args)
-    except ConfigError as e:
+    except (ConfigError, ConfigurationError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (PreconditionError, NotFoundError, RegionError, DimensionError,

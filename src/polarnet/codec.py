@@ -6,6 +6,16 @@ anchor stream through a per-position erasure pattern, so each block
 reduces to a single anchor polar tree shared by all of that receiver's
 users, and the decoder is an exact three-valued (0/1/unknown) message
 passer driven along the alignment schedule's dependency order.
+
+:func:`simulate` does not run that decoder.  SC on an erasure channel
+never decides a bit wrongly; it only leaves bits erased, and every bit
+it feeds back is known.  So a trial fails exactly when some information
+bit is still erased at its turn, given every earlier bit (genie-aided
+SC), which is a function of the erasure pattern alone.  Each receiver's
+decode order is compiled once into a :class:`FailurePlan`, and the plan
+is evaluated on bit-packed erasure patterns with array operations.
+:func:`sc_decode`, with :func:`encode` and :func:`transmit`, stays as
+the reference decoder that the tests compare the plan against.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .chains import (
 from .erasure import (
     ParityLinkedErasureMAC,
     UNKNOWN,
+    bec_tree_erasures,
     polar_transform_bits,
     sc_tree_generator,
     sym_xor,
@@ -163,10 +174,15 @@ def build_code(receivers, target, N: int, k: int,
     receivers, combined over k alignment levels, and the jointly good
     variables become the information sets.
     """
-    if N & (N - 1):
+    if N < 1 or N & (N - 1):
         raise PreconditionError("N must be a power of two")
     if not receivers:
         raise PreconditionError("at least one receiver required")
+    for r in receivers:
+        if N % len(r.mac.eps_tile):
+            raise PreconditionError(
+                f"N={N} is not a multiple of the erasure tile length "
+                f"{len(r.mac.eps_tile)}")
     num_users = max(max(r.decode_set) for r in receivers)
     covered = set()
     for r in receivers:
@@ -330,6 +346,29 @@ class _TreeCursor:
             self.pending, self.posterior = None, None
 
 
+def _receiver_slots(spec: CompoundCodeSpec, receiver: int):
+    """A receiver's slots: what each holds and which pair it belongs to.
+
+    Returns ``slot_var``, where slot s of the receiver's path holds bit
+    i of global user u as ``slot_var[s] == (u, i)``, and the receiver's
+    pairs keyed by their XOR slot and by their promoted slot, each as
+    ``(user, block, index)``.
+    """
+    ds = spec.receivers[receiver].decode_set
+    xor_pair, promoted = {}, {}
+    for u in ds:
+        for p in spec.schedule.pairs_for_user(u):
+            xor_pair[(u, p.block_a, p.index_a)] = p
+            promoted[(u, p.block_b, p.index_b)] = p
+    slot_var = []
+    occ = {}
+    for lu in spec.paths[receiver].user_sequence:
+        u = ds[lu - 1]
+        occ[u] = occ.get(u, 0) + 1
+        slot_var.append((u, occ[u]))
+    return slot_var, xor_pair, promoted
+
+
 def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     """Decode one receiver's observations.
 
@@ -340,9 +379,7 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     and failure flags trials in which some requested info bit stayed
     unresolved.
     """
-    rec = spec.receivers[receiver]
-    path = spec.paths[receiver]
-    ds = rec.decode_set
+    ds = spec.receivers[receiver].decode_set
     N = spec.N
     nb = spec.schedule.total_blocks
     anchor = np.asarray(outputs["anchor"], dtype=np.int8)
@@ -353,11 +390,7 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
         offsets[u] = polar_transform_bits(
             np.asarray(outputs["parity"][u], dtype=np.int8)
         )
-    xor_pair, promoted = {}, {}   # (user, block, index) -> its pair
-    for u in ds:
-        for p in spec.schedule.pairs_for_user(u):
-            xor_pair[(u, p.block_a, p.index_a)] = p
-            promoted[(u, p.block_b, p.index_b)] = p
+    slot_var, xor_pair, promoted = _receiver_slots(spec, receiver)
     info = {u: set(spec.info_sets[u]) for u in ds}
     cursors = [_TreeCursor(anchor[..., b, :]) for b in range(nb)]
     failure = np.zeros(batch, dtype=bool)
@@ -366,13 +399,6 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     def record(u, b, i, val):
         var_values[(u, b, i)] = val
 
-    # slot s of the path holds bit i of global user u
-    slot_var = []
-    occ = {}
-    for lu in path.user_sequence:
-        u = ds[lu - 1]
-        occ[u] = occ.get(u, 0) + 1
-        slot_var.append((u, occ[u]))
     for (b, s) in spec.orders[receiver]:
         u, i = slot_var[s]
         cur = cursors[b]
@@ -421,6 +447,69 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     return messages, failure
 
 
+# -- failure plans -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FailurePlan:
+    """Where one receiver's SC decoder can fail, read off its decode order.
+
+    On the erasure MAC, SC decoding never decides a bit wrongly: it only
+    leaves bits erased, and every bit it feeds back into a tree is
+    known.  So whether a trial fails depends on the erasure pattern
+    alone: it fails exactly when some information bit is still erased
+    at its turn, given every earlier bit (genie-aided SC).  Tree bits are
+    numbered ``(index - 1) * total_blocks + block``.  A trial fails when
+    a bit of ``single`` is erased, or both bits of a row of ``pairs``: a
+    promoted slot and the undecided XOR slot that can stand in for it.
+    """
+
+    single: np.ndarray   # (n,) tree bits
+    pairs: np.ndarray    # (m, 2) tree bits
+
+    def failed(self, bits):
+        """Failure flags from bit-channel erasures shaped (N, blocks, ...).
+
+        ``bits`` is :func:`~polarnet.erasure.bec_tree_erasures` of the
+        receiver's anchor erasures, bools or trials packed into bits.
+        """
+        flat = bits.reshape((-1,) + bits.shape[2:])
+        fail = np.bitwise_or.reduce(flat[self.single], axis=0)
+        both = flat[self.pairs[:, 0]] & flat[self.pairs[:, 1]]
+        return fail | np.bitwise_or.reduce(both, axis=0)
+
+
+def failure_plan(spec: CompoundCodeSpec, receiver: int) -> FailurePlan:
+    """Compile a receiver's decode order into its :class:`FailurePlan`.
+
+    Walks the order as :func:`sc_decode` does.  Only the first slot to
+    reach a tree bit decides it, and it can fail only if it holds an
+    information bit of its user and is not an XOR slot.  A promoted slot
+    whose XOR partner is already decided never fails.
+    """
+    nb = spec.schedule.total_blocks
+    slot_var, xor_pair, promoted = _receiver_slots(spec, receiver)
+    info = {u: set(spec.info_sets[u])
+            for u in spec.receivers[receiver].decode_set}
+    decided = set()
+    single, pairs = [], []
+    for (b, s) in spec.orders[receiver]:
+        u, i = slot_var[s]
+        if (b, i) in decided:
+            continue
+        decided.add((b, i))
+        if (u, b, i) in xor_pair or (b, i) not in info[u]:
+            continue
+        bit = (i - 1) * nb + b
+        pair = promoted.get((u, b, i))
+        if pair is None:
+            single.append(bit)
+        elif (pair.block_a, pair.index_a) not in decided:
+            pairs.append((bit, (pair.index_a - 1) * nb + pair.block_a))
+    return FailurePlan(np.array(single, dtype=np.intp),
+                       np.array(pairs, dtype=np.intp).reshape(-1, 2))
+
+
 # -- channel simulation --------------------------------------------------
 
 
@@ -440,21 +529,34 @@ def transmit(spec: CompoundCodeSpec, receiver: int, codewords, rng):
     return {"anchor": anchor, "parity": parity}
 
 
-def _simulate_chunk(spec: CompoundCodeSpec, t: int, seed: int, ci: int):
+# Trials whose erasures are drawn at once; a multiple of 8, so that the
+# bit-packed slices join into one packed array.
+_DRAW_TRIALS = 256
+
+
+def _simulate_chunk(spec: CompoundCodeSpec, plans, t: int, seed: int,
+                    ci: int):
     rng = np.random.Generator(np.random.Philox(key=[seed, ci]))
-    msgs = {
-        u: rng.integers(0, 2, size=(t, len(spec.info_sets[u])),
-                        dtype=np.int8)
-        for u in range(1, spec.num_users + 1)
-    }
-    codewords, _ = encode(spec, msgs)
-    errors = [{u: 0 for u in rec.decode_set} for rec in spec.receivers]
-    for r in range(len(spec.receivers)):
-        outputs = transmit(spec, r, codewords, rng)
-        est, fail = sc_decode(spec, r, outputs)
-        for u in spec.receivers[r].decode_set:
-            bad = (est[u] != msgs[u]).any(axis=-1) | fail
-            errors[r][u] += int(bad.sum())
+    # The message bits do not change whether a trial fails.  They are
+    # drawn so that the erasures take the same part of the chunk's
+    # stream as in encode-then-transmit, which keeps the counts those
+    # of the reference chain.
+    for u in range(1, spec.num_users + 1):
+        rng.integers(0, 2, size=(t, len(spec.info_sets[u])), dtype=np.int8)
+    shape = (spec.schedule.total_blocks, spec.N)
+    errors = []
+    for rec, plan in zip(spec.receivers, plans):
+        leaf_eps = rec.mac.leaf_eps(spec.N)
+        packed = np.concatenate([
+            np.packbits(rng.random((min(_DRAW_TRIALS, t - t0),) + shape)
+                        < leaf_eps, axis=0)
+            for t0 in range(0, t, _DRAW_TRIALS)
+        ])
+        # (N, blocks, bytes): each byte holds 8 trials
+        erased = np.ascontiguousarray(packed.transpose(2, 1, 0))
+        fail = plan.failed(bec_tree_erasures(erased))
+        count = int(np.unpackbits(fail).sum())
+        errors.append({u: count for u in rec.decode_set})
     return errors
 
 
@@ -464,8 +566,12 @@ def simulate(spec: CompoundCodeSpec, trials: int, seed: int = 0,
 
     Trials are split into fixed-size chunks whose RNG streams are keyed
     by (seed, chunk index), so the result is byte-identical under any
-    parallel schedule.  Returns per-receiver per-user block error
-    counts.
+    parallel schedule.  Each trial draws every receiver's anchor erasure
+    pattern, and each receiver's :class:`FailurePlan` says whether SC
+    decoding fails on it; the messages and codewords are not formed.
+    Returns ``(errors, trials)``: ``errors[r][u]`` is receiver r's
+    block-failure count, the trials in which some information bit of
+    any user it decodes stayed erased, repeated for each such user u.
     """
     if trials < 1 or chunk < 1:
         raise ValueError("trials and chunk must be positive")
@@ -475,17 +581,18 @@ def simulate(spec: CompoundCodeSpec, trials: int, seed: int = 0,
         t = min(chunk, trials - done)
         sizes.append(t)
         done += t
+    plans = [failure_plan(spec, r) for r in range(len(spec.receivers))]
     errors = [{u: 0 for u in rec.decode_set} for rec in spec.receivers]
     if threads > 1 and len(sizes) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(
-                lambda a: _simulate_chunk(spec, a[1], seed, a[0]),
+                lambda a: _simulate_chunk(spec, plans, a[1], seed, a[0]),
                 enumerate(sizes),
             ))
     else:
-        parts = [_simulate_chunk(spec, t, seed, ci)
+        parts = [_simulate_chunk(spec, plans, t, seed, ci)
                  for ci, t in enumerate(sizes)]
     for part in parts:
         for r, per in enumerate(part):

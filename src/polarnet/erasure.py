@@ -70,6 +70,32 @@ def bec_tree_bit_channel_eps(leaf_eps: np.ndarray) -> np.ndarray:
     return np.concatenate([lo, hi])
 
 
+def bec_tree_erasures(erased: np.ndarray) -> np.ndarray:
+    """Bit-channel erasures of one erasure pattern, under genie-aided SC.
+
+    ``erased`` holds the N codeword positions on its first axis and any
+    batch shape after it, as bools or as unsigned integers whose bits
+    are independent trials.  Row ``i`` of the result is erased when bit
+    ``u_{i+1}`` stays unknown although every earlier bit is known, in the
+    index order of :func:`sc_tree_generator`: a pair's XOR is lost if
+    either half is (``a | b``), its repetition only if both are
+    (``a & b``).  This is the sample-path form of
+    :func:`bec_tree_bit_channel_eps`.
+    """
+    x = np.asarray(erased)
+    N = x.shape[0]
+    if N < 1 or N & (N - 1):
+        raise ValueError("leaf count must be a power of two")
+    rest = x.shape[1:]
+    x = x.reshape((1, N) + rest)
+    while x.shape[1] > 1:
+        a, b = x[:, 0::2], x[:, 1::2]
+        # subtree g becomes subtrees 2g (minus) and 2g + 1 (plus)
+        x = np.stack([a | b, a & b], axis=1).reshape(
+            (-1, x.shape[1] // 2) + rest)
+    return x.reshape((N,) + rest)
+
+
 @dataclass(frozen=True)
 class ParityLinkedErasureMAC:
     """K-user MAC with clean cross parities and an erased anchor stream.

@@ -46,6 +46,17 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("cfg", [
+        dict(BUILD_CFG, N=0),
+        dict(BUILD_CFG, N=2, k=0, receivers=[
+            {"eps_tile": [0.5] * 4, "decode_set": [1, 2]},
+            BUILD_CFG["receivers"][1]]),
+    ], ids=["N-zero", "tile-longer-than-N"])
+    def test_blocklength_precondition(self, tmp_path, cfg):
+        path = write(tmp_path, "c.json", cfg)
+        assert main(["build", "--config", path,
+                     "--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("cfg", [
         dict(BUILD_CFG, k=-1),
         dict(BUILD_CFG, N=512, k=2),   # its decoding order is cyclic
     ], ids=["negative-k", "cyclic-order"])
@@ -60,6 +71,28 @@ class TestExitCodes:
         path = write(tmp_path, "c.json", dict(BUILD_CFG, **extra))
         assert main(["simulate", "--config", path,
                      "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("build", dict(BUILD_CFG, receivers=[
+            {"eps_tile": [0.5, 0.5, 0.5], "decode_set": [1, 2]},
+            BUILD_CFG["receivers"][1]])),
+        ("build", dict(BUILD_CFG, receivers=[
+            {"eps_tile": [0.5]}, BUILD_CFG["receivers"][1]])),
+        ("build", dict(BUILD_CFG, N="x")),
+        ("simulate", dict(BUILD_CFG, trials="x")),
+        ("analyze", {"mac": {"type": "parity-linked", "users": 2},
+                     "path": "1^2 2^4 1^2"}),
+        ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": -1}),
+        ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": 3,
+                     "mode": "mc", "trials": 0}),
+    ], ids=["tile-length-3", "no-decode-set", "N-not-a-number",
+            "trials-not-a-number", "mac-without-eps-tile", "negative-n",
+            "no-mc-trials"])
+    def test_bad_config_values(self, tmp_path, command, cfg):
+        path = write(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_success(self, tmp_path):
         cfg = write(tmp_path, "c.json",

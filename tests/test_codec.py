@@ -11,12 +11,13 @@ from polarnet.codec import (
     ReceiverSpec,
     build_code,
     encode,
+    failure_plan,
     sc_decode,
     simulate,
     theorem1_check,
     transmit,
 )
-from polarnet.erasure import ParityLinkedErasureMAC
+from polarnet.erasure import ParityLinkedErasureMAC, bec_tree_erasures
 
 
 def two_user_compound(N=64, k=1, **kw):
@@ -138,15 +139,19 @@ class TestDecode:
             simulate(spec, trials=trials, seed=0, chunk=chunk)
 
 
+def shared_order_code(k=3):
+    recs = [ReceiverSpec(ParityLinkedErasureMAC(2, (0.25,)), (1, 2)),
+            ReceiverSpec(ParityLinkedErasureMAC(2, (0.0, 0.5)), (1, 2))]
+    return build_code(recs, (0.85, 0.85), N=128, k=k,
+                      delta_good=1 - 1e-4, delta_bad=0.1)
+
+
 class TestSharedOrder:
     """The decode order is computed once in build_code and reused."""
 
     @pytest.fixture(scope="class")
     def spec(self):
-        recs = [ReceiverSpec(ParityLinkedErasureMAC(2, (0.25,)), (1, 2)),
-                ReceiverSpec(ParityLinkedErasureMAC(2, (0.0, 0.5)), (1, 2))]
-        return build_code(recs, (0.85, 0.85), N=128, k=3,
-                          delta_good=1 - 1e-4, delta_bad=0.1)
+        return shared_order_code()
 
     def test_code_has_pairs(self, spec):
         assert sum(len(spec.schedule.pairs_for_user(u)) for u in (1, 2)) == 4
@@ -180,6 +185,112 @@ class TestSharedOrder:
         assert fails == [26, 30]
         assert h.hexdigest() == (
             "af96dfdf9305d0c8b239dfd6120e7364ac7d33e100824807d0fcd00fd42b0294")
+
+
+def mixed_code():
+    recs = [ReceiverSpec(ParityLinkedErasureMAC(1, (0.25,)), (1,)),
+            ReceiverSpec(ParityLinkedErasureMAC(2, (0.0, 0.5)), (1, 2))]
+    return build_code(recs, (0.6, 0.6), N=64, k=1,
+                      delta_good=1 - 1e-3, delta_bad=0.1, split_eps=0.1)
+
+
+def three_user_code():
+    recs = [ReceiverSpec(ParityLinkedErasureMAC(3, (0.25,)), (1, 2, 3)),
+            ReceiverSpec(ParityLinkedErasureMAC(3, (0.0, 0.5)), (1, 2, 3))]
+    return build_code(recs, (0.9, 0.9, 0.9), N=128, k=3,
+                      delta_good=1 - 1e-3, delta_bad=0.1, split_eps=0.1)
+
+
+class TestFailurePlan:
+    """The failure plan flags exactly the trials sc_decode gets wrong."""
+
+    CODES = {
+        "promoted": lambda: shared_order_code(k=2),
+        "k3": shared_order_code,
+        "three-users-k3": three_user_code,
+        "mixed-decode-sets": mixed_code,
+    }
+
+    def test_promoted_entries_present(self):
+        spec = self.CODES["promoted"]()
+        assert any(len(failure_plan(spec, r).pairs) for r in range(2))
+
+    @pytest.mark.parametrize("regime", ["channel", "uniform"])
+    @pytest.mark.parametrize("code", sorted(CODES))
+    def test_flags_match_sc_decode(self, code, regime):
+        spec = self.CODES[code]()
+        trials = 256
+        rng = np.random.default_rng(99)
+        msgs = {u: rng.integers(0, 2, (trials, len(spec.info_sets[u])),
+                                dtype=np.int8)
+                for u in range(1, spec.num_users + 1)}
+        cw, _ = encode(spec, msgs)
+        rates = []
+        for r, rec in enumerate(spec.receivers):
+            out = transmit(spec, r, cw, rng)
+            shape = out["anchor"].shape
+            if regime == "channel":
+                # each leaf is erased once more with probability u * eps,
+                # u ~ U(0, 2) per trial: about half of the trials fail
+                erased = (out["anchor"] == 2) | (rng.random(shape) < (
+                    rng.uniform(0, 2.0, (trials, 1, 1))
+                    * rec.mac.leaf_eps(spec.N)))
+            else:
+                # each leaf is erased with probability p ~ U(0, 0.3) per
+                # trial, whatever the channel.  This also erases the
+                # leaves that a (0.0, 0.5) tile never erases, which is
+                # where its receiver's promoted slots can fail.
+                erased = rng.random(shape) < rng.uniform(0, 0.3,
+                                                         (trials, 1, 1))
+            out["anchor"] = np.where(erased, 2, cw[rec.decode_set[0]]
+                                     ).astype(np.int8)
+            est, fail = sc_decode(spec, r, out)
+            bad = fail.copy()
+            for u in rec.decode_set:
+                bad |= (est[u] != msgs[u]).any(axis=-1)
+            rates.append(bad.mean())
+
+            plan = failure_plan(spec, r)
+            erased = erased.transpose(2, 1, 0)
+            flags = plan.failed(bec_tree_erasures(erased))
+            np.testing.assert_array_equal(flags, bad)
+            packed = np.packbits(erased, axis=-1)
+            np.testing.assert_array_equal(
+                np.unpackbits(plan.failed(bec_tree_erasures(packed)),
+                              count=trials).astype(bool), bad)
+        if regime == "channel":
+            assert all(0.2 < x < 0.8 for x in rates)
+        else:
+            assert max(rates) > 0.5
+
+
+class TestGoldenCounts:
+    """simulate's counts, recorded with the decoder that encoded,
+    transmitted and decoded every chunk; they pin the RNG stream."""
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        recs = [ReceiverSpec(ParityLinkedErasureMAC(2, (0.5,)), (1, 2)),
+                ReceiverSpec(ParityLinkedErasureMAC(2, (0.0, 1.0)), (1, 2))]
+        cli = build_code(recs, (0.75, 0.75), N=64, k=1, split_eps=0.1)
+        return {"shared-order": shared_order_code(), "cli": cli}
+
+    @pytest.mark.parametrize("code,trials,seed,chunk,expected", [
+        ("shared-order", 1000, 0, 256, [2, 2]),
+        ("shared-order", 1000, 1, 300, [3, 0]),
+        ("shared-order", 777, 2, 1000, [1, 1]),
+        ("shared-order", 4000, 5, 512, [6, 3]),
+        ("shared-order", 3000, 6, 700, [2, 5]),
+        ("cli", 300, 11, 64, [6, 0]),
+        ("cli", 1000, 3, 250, [26, 0]),
+        ("cli", 5, 4, 2, [0, 0]),
+        ("cli", 2000, 8, 2048, [43, 0]),
+        ("cli", 1500, 9, 100, [44, 0]),
+    ])
+    def test_counts(self, specs, code, trials, seed, chunk, expected):
+        errors, n = simulate(specs[code], trials, seed=seed, chunk=chunk)
+        assert n == trials
+        assert errors == [{1: e, 2: e} for e in expected]
 
 
 class TestTheorem:
