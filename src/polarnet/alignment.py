@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 from .chains import MonotonePath
 from .erasure import minus_eps, plus_eps
@@ -57,27 +58,17 @@ class AlignmentSchedule:
     blocklength: int
     levels: list[AlignmentLevel]
     base_incompatible: dict[int, int]    # user -> |II| + |III| in one block
+    pairs: dict[int, tuple[CombinePair, ...]]  # user -> all its pairs
     layouts: dict[int, list] | None = None  # user -> combined-sequence layout
 
     @property
     def total_blocks(self) -> int:
         return 1 << len(self.levels)
 
-    def pairs_for_user(self, user: int) -> list[CombinePair]:
+    def pairs_for_user(self, user: int) -> tuple[CombinePair, ...]:
         """All combined pairs of a user, including the copies made when
         later levels duplicate already-combined structure."""
-        if self.layouts is not None and user in self.layouts:
-            return [
-                CombinePair(ba, ia, bb, ib)
-                for kind, (ba, ia), (bb, ib) in (
-                    e for e in self.layouts[user] if e[0] != "raw"
-                )
-            ]
-        return [p for lvl in self.levels if lvl.user == user for p in lvl.pairs]
-
-    def frozen_by_combining(self, user: int) -> set[tuple[int, int]]:
-        """(block, index) slots whose variable is a jointly-bad XOR."""
-        return {(p.block_a, p.index_a) for p in self.pairs_for_user(user)}
+        return self.pairs.get(user, ())
 
     def to_json(self) -> str:
         obj = {
@@ -210,7 +201,9 @@ def build_schedule(classifications, k: int, mode: str = "compound-two-user",
             u: len(surv_II[u]) + len(surv_III[u]) for u in users
         }
         levels.append(AlignmentLevel(user, pairs, left_II, left_III, after))
-    schedule = AlignmentSchedule(K, N, levels, base, layouts=layout)
+    pairs = {u: tuple(CombinePair(*e[1], *e[2]) for e in layout[u] if e[0] == XOR)
+             for u in users}
+    schedule = AlignmentSchedule(K, N, levels, base, pairs, layouts=layout)
     validate_successive_decodability(schedule, _concatenation_path(K, N))
     return schedule
 
@@ -421,21 +414,20 @@ def align_decode(combined, schedule: AlignmentSchedule, user: int = 1):
 def combined_eps(schedule: AlignmentSchedule, user: int, base_eps):
     """Per-(block, index) erasure probabilities after combining.
 
-    ``base_eps`` maps index (1-based) to the erasure probability of that
-    bit-channel for one receiver; identical across blocks before
-    combining.  XOR slots get the minus value, promoted slots the plus
-    value.
+    ``base_eps[i - 1]`` is the erasure probability of bit-channel ``i``
+    for one receiver, the same in every block before combining.  Returns
+    a (total_blocks, N) array whose entry ``[b, i - 1]`` belongs to slot
+    ``(b, i)``: XOR slots get the minus value, promoted slots the plus
+    value of their pair.  A slot is in at most one pair of a user, so
+    the pairs are applied all at once.
     """
-    nb = schedule.total_blocks
-    eps = {
-        (b, i): float(base_eps[i]) for b in range(nb)
-        for i in range(1, schedule.blocklength + 1)
-    }
-    for p in schedule.pairs_for_user(user):
-        ea = eps[(p.block_a, p.index_a)]
-        eb = eps[(p.block_b, p.index_b)]
-        eps[(p.block_a, p.index_a)] = float(minus_eps(ea, eb))
-        eps[(p.block_b, p.index_b)] = float(plus_eps(ea, eb))
+    eps = np.tile(np.asarray(base_eps, dtype=float), (schedule.total_blocks, 1))
+    ba, ia, bb, ib = np.array(
+        [(p.block_a, p.index_a - 1, p.block_b, p.index_b - 1)
+         for p in schedule.pairs_for_user(user)], dtype=np.intp).reshape(-1, 4).T
+    ea, eb = eps[ba, ia], eps[bb, ib]
+    eps[ba, ia] = minus_eps(ea, eb)
+    eps[bb, ib] = plus_eps(ea, eb)
     return eps
 
 
@@ -455,5 +447,8 @@ def raw_schedule(num_users: int, blocklength: int, level_specs,
         AlignmentLevel(user, [CombinePair(*p) for p in pairs], [], [], {})
         for user, pairs in level_specs
     ]
+    user_pairs = {}
+    for lvl in levels:
+        user_pairs[lvl.user] = user_pairs.get(lvl.user, ()) + tuple(lvl.pairs)
     return AlignmentSchedule(num_users, blocklength, levels,
-                             base_incompatible or {})
+                             base_incompatible or {}, user_pairs)

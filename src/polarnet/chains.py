@@ -130,23 +130,34 @@ def path_rates(mac, path: MonotonePath, evaluator=None) -> PathRateProfile:
     """Per-index conditional MIs and per-user rates of a monotone path."""
     N = path.blocklength
     K = path.num_users
-    ev = evaluator or make_evaluator(mac, N)
     if isinstance(mac, ParityLinkedErasureMAC):
+        if K != mac.num_users:
+            raise PreconditionError(
+                f"path has {K} users, the MAC has {mac.num_users}")
+        if N < 1 or N & (N - 1):
+            raise PreconditionError(
+                f"path blocklength {N} is not a power of two")
+        if N % len(mac.eps_tile):
+            raise PreconditionError(
+                f"path blocklength {N} is not a multiple of the erasure "
+                f"tile length {len(mac.eps_tile)}")
         mi = mac.path_mi_profile(np.asarray(path.user_sequence))
         mode = "exact-erasure"
-    elif isinstance(ev, ParityLinkedEvaluator):
-        mi = ev.mac.path_mi_profile(np.asarray(path.user_sequence))
-        mode = "exact-erasure"
     else:
-        lens = [0] * K
-        prev = ev.cond_entropy(lens)
-        mi = np.empty(K * N)
-        for i, u in enumerate(path.user_sequence):
-            lens[u - 1] += 1
-            cur = ev.cond_entropy(lens)
-            mi[i] = 1.0 - (cur - prev)
-            prev = cur
-        mode = "exact-enumeration"
+        ev = evaluator or make_evaluator(mac, N)
+        if isinstance(ev, ParityLinkedEvaluator):
+            mi = ev.mac.path_mi_profile(np.asarray(path.user_sequence))
+            mode = "exact-erasure"
+        else:
+            lens = [0] * K
+            prev = ev.cond_entropy(lens)
+            mi = np.empty(K * N)
+            for i, u in enumerate(path.user_sequence):
+                lens[u - 1] += 1
+                cur = ev.cond_entropy(lens)
+                mi[i] = 1.0 - (cur - prev)
+                prev = cur
+            mode = "exact-enumeration"
     rates = np.zeros(K)
     for i, u in enumerate(path.user_sequence):
         rates[u - 1] += mi[i]

@@ -74,7 +74,8 @@ class CompoundCodeSpec:
     target: tuple[float, ...]
     receiver_rates: list[dict[int, float]]   # per receiver: user -> R_j
     jointly_good: dict[int, int]         # user -> |G inter G|
-    var_eps: list[dict]                  # per receiver: (user,(block,index)) -> eps
+    var_eps: list[dict[int, np.ndarray]]  # per receiver: user it decodes ->
+                                          # (blocks, N) erasure probabilities
     orders: list[list[tuple[int, int]]]  # per receiver: (block, slot) decode order
     shortfall: dict[int, float] = field(default_factory=dict)
 
@@ -112,16 +113,17 @@ class CompoundCodeSpec:
         return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _per_user_stats(mac: ParityLinkedErasureMAC, path: MonotonePath):
-    """Per-user per-index MI vectors under one receiver's path."""
-    prof = mac.path_mi_profile(np.asarray(path.user_sequence))
-    N = path.blocklength
-    out = {u: np.empty(N) for u in range(1, path.num_users + 1)}
-    counts = {u: 0 for u in out}
-    for s, u in enumerate(path.user_sequence):
-        out[u][counts[u]] = prof[s]
-        counts[u] += 1
-    return out
+def _per_user_stats(rec: ReceiverSpec, path: MonotonePath):
+    """Per-index MI vectors of the users a receiver decodes, by global id."""
+    seq = np.asarray(path.user_sequence)
+    prof = rec.mac.path_mi_profile(seq)
+    return {u: prof[seq == j] for j, u in enumerate(rec.decode_set, start=1)}
+
+
+def _slots(mask: np.ndarray) -> list[tuple[int, int]]:
+    """``(block, index)`` of a (blocks, N) mask's set entries, sorted."""
+    b, i = np.nonzero(mask)
+    return list(zip(b.tolist(), (i + 1).tolist()))
 
 
 def _receiver_target(target, rec: ReceiverSpec, strategy: str):
@@ -199,10 +201,7 @@ def build_code(receivers, target, N: int, k: int,
         rates = _receiver_target(target, rec, strategy)
         path = _find_receiver_path(rec, rates, N, split_eps)
         paths.append(path)
-        local = _per_user_stats(rec.mac, path)
-        stats.append({
-            rec.decode_set[j]: local[j + 1] for j in range(len(rec.decode_set))
-        })
+        stats.append(_per_user_stats(rec, path))
 
     # classification per user across the (up to two) receivers that
     # decode it; users seen by one receiver only have no incompatibility
@@ -222,49 +221,23 @@ def build_code(receivers, target, N: int, k: int,
               for rec, p in zip(receivers, paths)]
 
     M = (1 << k) * N
-    var_eps = []
-    for rec, s in zip(receivers, stats):
-        per = {}
-        for u in range(1, num_users + 1):
-            if u in s:
-                base = {i: 1.0 - s[u][i - 1] for i in range(1, N + 1)}
-            else:
-                base = {i: 1.0 for i in range(1, N + 1)}  # not decoded here
-            eps_map = combined_eps(schedule, u, base)
-            for key, v in eps_map.items():
-                per[(u, key)] = v
-        var_eps.append(per)
+    var_eps = [{u: combined_eps(schedule, u, 1.0 - s[u]) for u in s}
+               for s in stats]
 
-    info_sets = {u: [] for u in range(1, num_users + 1)}
-    frozen_sets = {u: [] for u in range(1, num_users + 1)}
-    jointly_good = {}
-    nb = 1 << k
+    info_sets, frozen_sets, jointly_good = {}, {}, {}
     for u in range(1, num_users + 1):
-        xor_slots = schedule.frozen_by_combining(u)
-        good = 0
-        for b in range(nb):
-            for i in range(1, N + 1):
-                var = (b, i)
-                rels = [
-                    ve[(u, var)] for rec, ve in zip(receivers, var_eps)
-                    if u in rec.decode_set
-                ]
-                ok = all(1.0 - e > delta_good for e in rels)
-                if ok and var not in xor_slots:
-                    good += 1
-                    info_sets[u].append(var)
-                else:
-                    frozen_sets[u].append(var)
-        jointly_good[u] = good
+        good = np.ones((1 << k, N), dtype=bool)
+        for ve in var_eps:
+            if u in ve:
+                good &= 1.0 - ve[u] > delta_good
+        for p in schedule.pairs_for_user(u):
+            good[p.block_a, p.index_a - 1] = False   # jointly-bad XOR
+        info_sets[u], frozen_sets[u] = _slots(good), _slots(~good)
+        jointly_good[u] = len(info_sets[u])
 
-    receiver_rates = []
-    for rec, ve in zip(receivers, var_eps):
-        rr = {}
-        for u in rec.decode_set:
-            tot = sum(1.0 - ve[(u, (b, i))] for b in range(nb)
-                      for i in range(1, N + 1))
-            rr[u] = tot / M
-        receiver_rates.append(rr)
+    # a left-to-right sum: np.sum's pairwise sum would change the floats
+    receiver_rates = [{u: sum((1.0 - e).ravel().tolist()) / M
+                       for u, e in ve.items()} for ve in var_eps]
 
     spec = CompoundCodeSpec(
         num_users=num_users, N=N, k=k, receivers=list(receivers),

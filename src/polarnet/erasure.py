@@ -8,7 +8,10 @@ exact for erasure-type channels: the one-step polar pair
 
 its n-level recursion (including position-dependent leaf erasure
 probabilities), and the parity-linked erasure MAC family used for exact
-multiple-access computations at arbitrary blocklengths.
+multiple-access computations at arbitrary blocklengths.  The recursion
+is written once, as the level loop :func:`_butterfly`; the erasure
+probabilities, the sample-path erasures of genie-aided SC and the polar
+transform are each one call to it.
 
 The parity-linked family: K binary senders, the receiver observes every
 cross parity ``x_j xor x_1`` cleanly plus the anchor stream ``x_1``
@@ -36,6 +39,29 @@ def plus_eps(e1, e2):
     return np.asarray(e1, dtype=float) * np.asarray(e2, dtype=float)
 
 
+def _butterfly(x, minus, plus):
+    """The polar minus/plus recursion along axis 0, one level at a time.
+
+    Leaves ``(2j, 2j + 1)`` are combined into ``minus(a, b)`` and
+    ``plus(a, b)``, and the minus half and the plus half are each
+    recursed on, minus first; row ``i`` of the result is the channel of
+    input bit ``u_{i+1}``.  Axes after the first are batch axes.  The
+    length of axis 0 must be a power of two, at least 1.
+    """
+    x = np.asarray(x)
+    N = x.shape[0] if x.ndim else 0
+    if N < 1 or N & (N - 1):
+        raise ValueError(f"length {N} is not a power of two")
+    rest = x.shape[1:]
+    out = x.reshape((1, N) + rest)
+    while out.shape[1] > 1:
+        a, b = out[:, 0::2], out[:, 1::2]
+        # subtree g becomes subtrees 2g (minus) and 2g + 1 (plus)
+        out = np.concatenate((minus(a, b)[:, None], plus(a, b)[:, None]),
+                             axis=1).reshape((-1, out.shape[1] // 2) + rest)
+    return out.reshape((N,) + rest) if N > 1 else x.copy()
+
+
 def bec_bit_channel_eps(epsilon: float, n: int) -> np.ndarray:
     """Exact erasure probabilities of the N = 2^n synthesized bit-channels.
 
@@ -43,13 +69,9 @@ def bec_bit_channel_eps(epsilon: float, n: int) -> np.ndarray:
     ordering matches the encoder in :mod:`polarnet.polar` so that entry
     ``i`` is the channel of input bit ``u_{i+1}``.
     """
-    z = np.array([float(epsilon)])
-    for _ in range(n):
-        nxt = np.empty(2 * len(z))
-        nxt[0::2] = minus_eps(z, z)
-        nxt[1::2] = plus_eps(z, z)
-        z = nxt
-    return z
+    if n < 0:
+        raise ValueError(f"level count must be non-negative, got {n}")
+    return _butterfly(np.full(1 << n, float(epsilon)), minus_eps, plus_eps)
 
 
 def bec_tree_bit_channel_eps(leaf_eps: np.ndarray) -> np.ndarray:
@@ -59,15 +81,7 @@ def bec_tree_bit_channel_eps(leaf_eps: np.ndarray) -> np.ndarray:
     Exact for independent erasures: subtree messages depend on disjoint
     leaf sets, so the minus/plus recursion composes without correlation.
     """
-    e = np.asarray(leaf_eps, dtype=float)
-    N = len(e)
-    if N & (N - 1):
-        raise ValueError("leaf count must be a power of two")
-    if N == 1:
-        return e.copy()
-    lo = bec_tree_bit_channel_eps(minus_eps(e[0::2], e[1::2]))
-    hi = bec_tree_bit_channel_eps(plus_eps(e[0::2], e[1::2]))
-    return np.concatenate([lo, hi])
+    return _butterfly(np.asarray(leaf_eps, dtype=float), minus_eps, plus_eps)
 
 
 def bec_tree_erasures(erased: np.ndarray) -> np.ndarray:
@@ -82,18 +96,7 @@ def bec_tree_erasures(erased: np.ndarray) -> np.ndarray:
     (``a & b``).  This is the sample-path form of
     :func:`bec_tree_bit_channel_eps`.
     """
-    x = np.asarray(erased)
-    N = x.shape[0]
-    if N < 1 or N & (N - 1):
-        raise ValueError("leaf count must be a power of two")
-    rest = x.shape[1:]
-    x = x.reshape((1, N) + rest)
-    while x.shape[1] > 1:
-        a, b = x[:, 0::2], x[:, 1::2]
-        # subtree g becomes subtrees 2g (minus) and 2g + 1 (plus)
-        x = np.stack([a | b, a & b], axis=1).reshape(
-            (-1, x.shape[1] // 2) + rest)
-    return x.reshape((N,) + rest)
+    return _butterfly(erased, np.bitwise_or, np.bitwise_and)
 
 
 @dataclass(frozen=True)
@@ -157,18 +160,12 @@ class ParityLinkedErasureMAC:
         seq = np.asarray(user_seq)
         N = len(seq) // self.num_users
         eps = self.tree_eps(N)
-        mi = np.empty(len(seq))
-        counts = np.zeros(self.num_users + 1, dtype=int)
-        frontier = 0  # highest anchor index already decoded
-        for i, u in enumerate(seq):
-            counts[u] += 1
-            k = counts[u]
-            if k <= frontier:
-                mi[i] = 1.0
-            else:
-                mi[i] = 1.0 - eps[k - 1]
-                frontier = k
-        return mi
+        # k[i]: which occurrence of its user the i-th symbol is
+        hits = seq[:, None] == np.arange(1, self.num_users + 1)
+        k = np.cumsum(hits, axis=0)[np.arange(len(seq)), seq - 1]
+        # highest anchor index decoded before symbol i
+        frontier = np.maximum.accumulate(np.concatenate([[0], k[:-1]]))
+        return np.where(k <= frontier, 1.0, 1.0 - eps[k - 1])
 
 
 def two_user_adder_equivalent() -> ParityLinkedErasureMAC:
@@ -200,19 +197,17 @@ def sym_g(a, b, ua):
 
 
 def polar_transform_bits(u: np.ndarray) -> np.ndarray:
-    """Batched polar transform along the last axis (self-inverse)."""
+    """Batched polar transform along the last axis (self-inverse).
+
+    Being its own inverse, ``T(x)`` is ``T(x[0::2] ^ x[1::2])`` followed
+    by ``T(x[1::2])``: the butterfly with the XOR of each pair as minus
+    and its second bit as plus.
+    """
     u = np.asarray(u)
-    N = u.shape[-1]
-    if N & (N - 1):
-        raise ValueError("length must be a power of two")
-    if N == 1:
-        return u.copy()
-    a = polar_transform_bits(u[..., : N // 2])
-    b = polar_transform_bits(u[..., N // 2:])
-    x = np.empty_like(u)
-    x[..., 0::2] = a ^ b
-    x[..., 1::2] = b
-    return x
+    batch = tuple(range(u.ndim - 1))
+    x = _butterfly(u.transpose((-1,) + batch), np.bitwise_xor,
+                   lambda a, b: b)
+    return np.ascontiguousarray(x.transpose(tuple(a + 1 for a in batch) + (0,)))
 
 
 def sc_tree_generator(leaf_msgs: np.ndarray, offset: int = 0):

@@ -74,23 +74,7 @@ class RatePolytope:
             ineqs.append(Inequality(coeffs, float(c), lbl))
         return cls(dimension, ineqs)
 
-    def _A(self):
-        return np.array([[float(c) for c in q.coeffs] for q in self.inequalities]
-                        or np.zeros((0, self.dimension)))
-
-    def _b(self):
-        return np.array([float(q.bound) for q in self.inequalities])
-
     # -- queries ---------------------------------------------------------
-
-    def contains(self, point, tol: float = TOL) -> bool:
-        x = np.asarray(point, dtype=float)
-        if x.shape != (self.dimension,):
-            raise DimensionError("point dimension mismatch")
-        if (x < -tol).any():
-            return False
-        return bool((self._A() @ x <= self._b() + tol).all()) \
-            if self.inequalities else True
 
     def vertices(self, tol: float = TOL) -> list[tuple]:
         """All extreme points (enumeration of d-subsets of facets)."""
@@ -142,9 +126,6 @@ class Region2D:
         poly = RatePolytope(2, list(ineqs))
         verts = poly.vertices()
         return cls(_ccw_order(verts), list(ineqs), metadata or {})
-
-    def contains(self, point, tol: float = TOL) -> bool:
-        return RatePolytope(2, self.constraints).contains(point, tol)
 
     def to_json(self) -> str:
         return json.dumps({

@@ -2,6 +2,7 @@ import json
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from polarnet.alignment import (
@@ -123,10 +124,52 @@ class TestCombinedEps:
     def test_minus_plus_applied(self):
         s = build_schedule({1: make_classification({3}, {6})}, 1,
                            mode="k-user-sequential", blocklength=8)
-        base = {i: 0.5 for i in range(1, 9)}
-        eps = combined_eps(s, 1, base)
+        eps = combined_eps(s, 1, np.full(8, 0.5))
+        assert eps.shape == (2, 8)
         pair = s.pairs_for_user(1)[0]
-        assert eps[(pair.block_a, pair.index_a)] == pytest.approx(0.75)
-        assert eps[(pair.block_b, pair.index_b)] == pytest.approx(0.25)
-        untouched = [(b, i) for (b, i), v in eps.items() if v == 0.5]
-        assert len(untouched) == 14
+        assert eps[pair.block_a, pair.index_a - 1] == pytest.approx(0.75)
+        assert eps[pair.block_b, pair.index_b - 1] == pytest.approx(0.25)
+        assert np.count_nonzero(eps == 0.5) == 14
+
+    def test_matches_pair_by_pair_update(self):
+        # each slot is in at most one pair of a user, so applying the
+        # pairs at once equals applying them one after another
+        s = build_schedule(
+            {1: make_classification({2, 3}, {6, 7}),
+             2: make_classification({1, 4}, {5, 8})}, 4,
+            mode="compound-two-user", blocklength=8)
+        base = np.random.default_rng(3).random(8)
+        for u in (1, 2):
+            slots = [(p.block_a, p.index_a) for p in s.pairs_for_user(u)]
+            slots += [(p.block_b, p.index_b) for p in s.pairs_for_user(u)]
+            assert len(slots) == len(set(slots))
+            ref = np.tile(base, (s.total_blocks, 1))
+            for p in s.pairs_for_user(u):
+                ea = ref[p.block_a, p.index_a - 1]
+                eb = ref[p.block_b, p.index_b - 1]
+                ref[p.block_a, p.index_a - 1] = ea + eb - ea * eb
+                ref[p.block_b, p.index_b - 1] = ea * eb
+            np.testing.assert_array_equal(combined_eps(s, u, base), ref)
+
+    def test_no_pairs_tiles_base(self):
+        s = raw_schedule(2, 4, [(1, [(0, 2, 1, 3)])])
+        base = np.array([0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_array_equal(combined_eps(s, 2, base),
+                                      np.tile(base, (2, 1)))
+
+
+class TestPairsForUser:
+    def test_raw_schedule_collects_levels_per_user(self):
+        s = raw_schedule(2, 4, [(1, [(0, 2, 1, 3)]), (2, [(0, 1, 2, 4)]),
+                                (1, [(2, 2, 3, 3)])])
+        assert [tuple(vars(p).values()) for p in s.pairs_for_user(1)] == [
+            (0, 2, 1, 3), (2, 2, 3, 3)]
+        assert len(s.pairs_for_user(2)) == 1
+        assert s.pairs_for_user(3) == ()
+
+    def test_built_pairs_follow_the_layout(self):
+        s = build_schedule({1: make_classification({3}, {6})}, 3,
+                           mode="k-user-sequential", blocklength=8)
+        xor = [e for e in s.layouts[1] if e[0] == "xor"]
+        assert [((p.block_a, p.index_a), (p.block_b, p.index_b))
+                for p in s.pairs_for_user(1)] == [e[1:] for e in xor]

@@ -56,6 +56,20 @@ class TestExitCodes:
         assert main(["build", "--config", path,
                      "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("tile,path", [
+        ([0.5], "1^3 2^3"),
+        ([0.5, 0.25], "1^1 2^1"),
+        ([0.5], "1^2 2^2 3^2"),
+    ], ids=["blocklength-not-power-of-two", "tile-longer-than-N",
+            "user-count-differs"])
+    def test_path_does_not_fit_parity_linked_mac(self, tmp_path, tile, path):
+        cfg = write(tmp_path, "c.json", {
+            "mac": {"type": "parity-linked", "users": 2, "eps_tile": tile},
+            "path": path})
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg", [
         dict(BUILD_CFG, k=-1),
         dict(BUILD_CFG, N=512, k=2),   # its decoding order is cyclic

@@ -6,6 +6,7 @@ from polarnet.erasure import (
     ParityLinkedErasureMAC,
     bec_bit_channel_eps,
     bec_tree_bit_channel_eps,
+    bec_tree_erasures,
     polar_transform_bits,
 )
 from polarnet.polar import (
@@ -52,6 +53,66 @@ class TestErasureRecursion:
         np.testing.assert_allclose(
             bec_tree_bit_channel_eps(leaf), bec_bit_channel_eps(0.3, 4),
             atol=1e-12)
+
+
+def generator_matrix(N: int) -> np.ndarray:
+    """Arikan's G_N = B_N F^{(x)n} over GF(2), B_N the bit reversal."""
+    n = N.bit_length() - 1
+    G = np.ones((1, 1), dtype=int)
+    for _ in range(n):
+        G = np.kron(G, np.array([[1, 0], [1, 1]]))
+    rev = [int(format(i, f"0{n}b")[::-1], 2) if n else 0 for i in range(N)]
+    B = np.zeros((N, N), dtype=int)
+    B[np.arange(N), rev] = 1
+    return B @ G % 2
+
+
+class TestButterflyOracles:
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_transform_is_generator_matrix(self, N):
+        u = np.random.default_rng(N).integers(0, 2, size=(64, N), dtype=np.int8)
+        np.testing.assert_array_equal(polar_transform_bits(u),
+                                      u @ generator_matrix(N) % 2)
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_tree_eps_is_expected_pattern_erasure(self, N):
+        # average the sample-path recursion over all 2^N erasure patterns
+        leaf = np.random.default_rng(N).uniform(0.05, 0.95, N)
+        patterns = (np.arange(1 << N)[None, :] >> np.arange(N)[:, None]) & 1
+        prob = np.prod(np.where(patterns == 1, leaf[:, None],
+                                1 - leaf[:, None]), axis=0)
+        expected = bec_tree_erasures(patterns.astype(bool)) @ prob
+        np.testing.assert_allclose(bec_tree_bit_channel_eps(leaf), expected,
+                                   rtol=0, atol=1e-12)
+
+
+class TestDegenerateLengths:
+    @pytest.mark.parametrize("u", [np.zeros((3, 0), dtype=np.int8),
+                                   np.zeros(0, dtype=np.int8),
+                                   np.zeros((2, 6), dtype=np.int8)],
+                             ids=["batch-of-empty", "empty", "length-6"])
+    def test_transform_rejects(self, u):
+        with pytest.raises(ValueError):
+            polar_transform_bits(u)
+
+    @pytest.mark.parametrize("leaf", [np.zeros(0), np.full(3, 0.5)],
+                             ids=["empty", "length-3"])
+    def test_tree_eps_rejects(self, leaf):
+        with pytest.raises(ValueError):
+            bec_tree_bit_channel_eps(leaf)
+        with pytest.raises(ValueError):
+            bec_tree_erasures(leaf > 0.2)
+
+    def test_negative_level_count(self):
+        with pytest.raises(ValueError):
+            bec_bit_channel_eps(0.3, -1)
+
+    def test_length_one_is_a_copy(self):
+        u = np.array([[1], [0]], dtype=np.int8)
+        x = polar_transform_bits(u)
+        np.testing.assert_array_equal(x, u)
+        assert not np.shares_memory(x, u)
+        np.testing.assert_array_equal(bec_bit_channel_eps(0.3, 0), [0.3])
 
 
 class TestSynthesis:
