@@ -52,6 +52,7 @@ from .alignment import (  # noqa: F401
     align_encode,
     build_schedule,
     combined_eps,
+    decode_runs,
     decoding_dag,
     decoding_order,
     incompatible_fraction,

@@ -10,17 +10,20 @@ Blocks are numbered 0..2^k-1; indices are the 1-based per-block bit
 positions.  Each receiver decodes the slots ``(block, slot)`` of its
 monotone path; the pairs add dependencies across blocks, and a
 topological order of the resulting DAG certifies successive
-decodability.
+decodability.  Within a block the slots form a chain, so a decode order
+is stored as runs ``(block, start, stop)``: slots start..stop-1 of one
+block, decoded one after another.  A run ends only where a pair lets a
+lower block go next or makes this block wait for another.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
 import numpy as np
 
 from .chains import MonotonePath
@@ -244,8 +247,11 @@ def _dependency_edges(schedule: AlignmentSchedule, path: MonotonePath,
 
 
 def decoding_dag(schedule: AlignmentSchedule, path: MonotonePath,
-                 decode_set=None) -> nx.DiGraph:
-    """Dependency DAG of one receiver, as a graph (see _dependency_edges)."""
+                 decode_set=None):
+    """Dependency DAG of one receiver as a networkx graph, for tests and
+    diagnostics (see _dependency_edges)."""
+    import networkx as nx
+
     edges = _dependency_edges(schedule, path, decode_set)
     L = len(path.user_sequence)
     g = nx.DiGraph()
@@ -256,48 +262,76 @@ def decoding_dag(schedule: AlignmentSchedule, path: MonotonePath,
     return g
 
 
-def decoding_order(schedule: AlignmentSchedule, path: MonotonePath,
-                   decode_set=None) -> list[tuple[int, int]]:
-    """The lexicographically smallest topological order of the DAG.
+def decode_runs(schedule: AlignmentSchedule, path: MonotonePath,
+                decode_set=None) -> list[tuple[int, int, int]]:
+    """The lexicographically smallest topological order of the DAG, as
+    maximal runs ``(block, start, stop)`` of slots start..stop-1.
 
-    Kahn's algorithm over ``(block, slot)`` nodes with a heap.  Raises
-    ScheduleError, carrying one dependency cycle, if the DAG is cyclic.
+    Each block is a chain, so at most one slot per block is ever ready,
+    and the smallest ready node is the next slot of the lowest ready
+    block.  The walk follows that block forward and stops only at a slot
+    with cross-block successors, which may make a lower block ready, or
+    before a slot that still waits for another block.  The heap holds
+    block ids only, so the work grows with the pairs, not the slots.
+    Raises ScheduleError, carrying one dependency cycle, if the DAG is
+    cyclic.
     """
     edges = _dependency_edges(schedule, path, decode_set)
     L = len(path.user_sequence)
-    succ = {}
-    indeg = {(b, s): int(s > 0)
-             for b in range(schedule.total_blocks) for s in range(L)}
+    nb = schedule.total_blocks
+    succ, waits = {}, {}   # cross-block successors; unmet cross preds
+    stops = [[L - 1] for _ in range(nb)]
     for a, c in edges:
         succ.setdefault(a, []).append(c)
-        indeg[c] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order = []
+        waits[c] = waits.get(c, 0) + 1
+        stops[a[0]].append(a[1])
+        if c[1] > 0:
+            stops[c[0]].append(c[1] - 1)
+    stops = [sorted(set(st)) for st in stops]
+    nxt = [0] * nb    # first slot not yet emitted, per block
+    ready = [b for b in range(nb) if L and not waits.get((b, 0))]
+    runs = []
     while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        b, s = v
-        nxt = succ.get(v, [])
-        if s + 1 < L:
-            nxt = nxt + [(b, s + 1)]
-        for c in nxt:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) < len(indeg):
-        cycle = _cycle_among_blocked(indeg, edges)
+        b = heapq.heappop(ready)
+        start = nxt[b]
+        while True:
+            t = stops[b][bisect_left(stops[b], nxt[b])]
+            nxt[b] = t + 1
+            for c in succ.get((b, t), ()):
+                waits[c] -= 1
+                if not waits[c] and c[0] != b and nxt[c[0]] == c[1]:
+                    heapq.heappush(ready, c[0])
+            if t + 1 == L or waits.get((b, t + 1)):
+                break
+            if ready and ready[0] < b:
+                heapq.heappush(ready, b)
+                break
+        runs.append((b, start, nxt[b]))
+    if any(n < L for n in nxt):
+        blocked = {(b, s) for b in range(nb) for s in range(nxt[b], L)}
+        cycle = _cycle_among_blocked(blocked, edges)
         shown = " -> ".join(map(str, cycle[:8]))
         raise ScheduleError(
             f"combining induces a circular decoding dependency through "
             f"{len(cycle)} slots: {shown}" + (" -> ..." if len(cycle) > 8 else ""),
             cycle=cycle,
         )
-    return order
+    return runs
 
 
-def _cycle_among_blocked(indeg, edges) -> list[tuple[int, int]]:
-    """A cycle through the nodes Kahn's algorithm could not emit.
+def decoding_order(schedule: AlignmentSchedule, path: MonotonePath,
+                   decode_set=None) -> list[tuple[int, int]]:
+    """The order of :func:`decode_runs`, one ``(block, slot)`` per node."""
+    return expand_runs(decode_runs(schedule, path, decode_set))
+
+
+def expand_runs(runs) -> list[tuple[int, int]]:
+    """The ``(block, slot)`` nodes of ``(block, start, stop)`` runs, in order."""
+    return [(b, s) for b, start, stop in runs for s in range(start, stop)]
+
+
+def _cycle_among_blocked(blocked, edges) -> list[tuple[int, int]]:
+    """A cycle through the nodes a topological sort could not emit.
 
     Each such node keeps an unemitted predecessor, so walking
     predecessors from any of them must revisit a node.
@@ -305,7 +339,6 @@ def _cycle_among_blocked(indeg, edges) -> list[tuple[int, int]]:
     preds = {}
     for a, c in edges:
         preds.setdefault(c, []).append(a)
-    blocked = {v for v, d in indeg.items() if d > 0}
     walk, seen = [], {}
     v = min(blocked)
     while v not in seen:
@@ -321,7 +354,7 @@ def validate_successive_decodability(schedule: AlignmentSchedule,
                                      path: MonotonePath,
                                      decode_set=None) -> None:
     """Raise ScheduleError unless the receiver can decode successively."""
-    decoding_order(schedule, path, decode_set)
+    decode_runs(schedule, path, decode_set)
 
 
 def incompatible_fraction(schedule: AlignmentSchedule, user: int):
@@ -431,7 +464,7 @@ def combined_eps(schedule: AlignmentSchedule, user: int, base_eps):
     return eps
 
 
-def dag_to_dot(g: nx.DiGraph) -> str:
+def dag_to_dot(g) -> str:
     lines = ["digraph decoding {"]
     for a, b in g.edges:
         lines.append(f'  "{a}" -> "{b}";')

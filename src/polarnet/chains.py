@@ -127,9 +127,19 @@ class PathRateProfile:
 
 
 def path_rates(mac, path: MonotonePath, evaluator=None) -> PathRateProfile:
-    """Per-index conditional MIs and per-user rates of a monotone path."""
+    """Per-index conditional MIs and per-user rates of a monotone path.
+
+    A parity-linked MAC, and the 2-user binary adder in its parity-linked
+    form, raise PreconditionError for a path that does not fit them.
+    """
     N = path.blocklength
     K = path.num_users
+    if not isinstance(mac, ParityLinkedErasureMAC):
+        if isinstance(evaluator, ParityLinkedEvaluator):
+            mac = evaluator.mac
+        elif (evaluator is None and isinstance(mac, DiscreteChannel)
+              and _is_adder(mac, 2)):
+            mac = two_user_adder_equivalent()   # as make_evaluator picks
     if isinstance(mac, ParityLinkedErasureMAC):
         if K != mac.num_users:
             raise PreconditionError(
@@ -145,19 +155,15 @@ def path_rates(mac, path: MonotonePath, evaluator=None) -> PathRateProfile:
         mode = "exact-erasure"
     else:
         ev = evaluator or make_evaluator(mac, N)
-        if isinstance(ev, ParityLinkedEvaluator):
-            mi = ev.mac.path_mi_profile(np.asarray(path.user_sequence))
-            mode = "exact-erasure"
-        else:
-            lens = [0] * K
-            prev = ev.cond_entropy(lens)
-            mi = np.empty(K * N)
-            for i, u in enumerate(path.user_sequence):
-                lens[u - 1] += 1
-                cur = ev.cond_entropy(lens)
-                mi[i] = 1.0 - (cur - prev)
-                prev = cur
-            mode = "exact-enumeration"
+        lens = [0] * K
+        prev = ev.cond_entropy(lens)
+        mi = np.empty(K * N)
+        for i, u in enumerate(path.user_sequence):
+            lens[u - 1] += 1
+            cur = ev.cond_entropy(lens)
+            mi[i] = 1.0 - (cur - prev)
+            prev = cur
+        mode = "exact-enumeration"
     rates = np.zeros(K)
     for i, u in enumerate(path.user_sequence):
         rates[u - 1] += mi[i]

@@ -29,7 +29,8 @@ from .alignment import (
     AlignmentSchedule,
     build_schedule,
     combined_eps,
-    decoding_order,
+    decode_runs,
+    expand_runs,
 )
 from .chains import (
     MonotonePath,
@@ -76,8 +77,15 @@ class CompoundCodeSpec:
     jointly_good: dict[int, int]         # user -> |G inter G|
     var_eps: list[dict[int, np.ndarray]]  # per receiver: user it decodes ->
                                           # (blocks, N) erasure probabilities
-    orders: list[list[tuple[int, int]]]  # per receiver: (block, slot) decode order
+    runs: list[list[tuple[int, int, int]]]  # per receiver: its decode order
+                                            # as (block, start, stop) runs of
+                                            # slots start..stop-1 of a block
     shortfall: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def orders(self) -> list[list[tuple[int, int]]]:
+        """Per receiver, the decode order one ``(block, slot)`` at a time."""
+        return [expand_runs(r) for r in self.runs]
 
     @property
     def M(self) -> int:
@@ -217,8 +225,8 @@ def build_code(receivers, target, N: int, k: int,
         else "k-user-sequential"
     schedule = build_schedule(cls, k, mode=mode, blocklength=N)
     # computing each receiver's order also validates its decodability
-    orders = [decoding_order(schedule, p, rec.decode_set)
-              for rec, p in zip(receivers, paths)]
+    runs = [decode_runs(schedule, p, rec.decode_set)
+            for rec, p in zip(receivers, paths)]
 
     M = (1 << k) * N
     var_eps = [{u: combined_eps(schedule, u, 1.0 - s[u]) for u in s}
@@ -244,7 +252,7 @@ def build_code(receivers, target, N: int, k: int,
         paths=paths, schedule=schedule, info_sets=info_sets,
         frozen_sets=frozen_sets, thresholds=(delta_good, delta_bad),
         target=target, receiver_rates=receiver_rates,
-        jointly_good=jointly_good, var_eps=var_eps, orders=orders,
+        jointly_good=jointly_good, var_eps=var_eps, runs=runs,
     )
     for u in range(1, num_users + 1):
         want = min(rr[u] for rr in receiver_rates if u in rr)
@@ -372,43 +380,44 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     def record(u, b, i, val):
         var_values[(u, b, i)] = val
 
-    for (b, s) in spec.orders[receiver]:
-        u, i = slot_var[s]
+    for b, start, stop in spec.runs[receiver]:
         cur = cursors[b]
-        if i in cur.values:
-            val = sym_xor(cur.values[i], offsets[u][..., b, i - 1])
-            record(u, b, i, val)
-            continue
-        off = offsets[u][..., b, i - 1]
-        if (u, b, i) in xor_pair:
-            # frozen XOR variable; raw bit follows from the partner
-            pair = xor_pair[(u, b, i)]
-            val = var_values[(u, pair.block_b, pair.index_b)]  # xor var is 0
+        for s in range(start, stop):
+            u, i = slot_var[s]
+            if i in cur.values:
+                val = sym_xor(cur.values[i], offsets[u][..., b, i - 1])
+                record(u, b, i, val)
+                continue
+            off = offsets[u][..., b, i - 1]
+            if (u, b, i) in xor_pair:
+                # frozen XOR variable; raw bit follows from the partner
+                pair = xor_pair[(u, b, i)]
+                val = var_values[(u, pair.block_b, pair.index_b)]  # xor var is 0
+                cur.push(i, sym_xor(val, off))
+                record(u, b, i, val)
+                continue
+            post = cur.peek(i)
+            own = sym_xor(post, off)
+            if (u, b, i) in promoted:
+                pair = promoted[(u, b, i)]
+                pcur = cursors[pair.block_a]
+                if pair.index_a in pcur.values:
+                    alt_tree = pcur.values[pair.index_a]
+                else:
+                    alt_tree = pcur.peek(pair.index_a)
+                alt_var_a = sym_xor(alt_tree, offsets[u][..., pair.block_a,
+                                                         pair.index_a - 1])
+                alt = alt_var_a  # xor variable frozen to 0: u_b = 0 ^ u_a
+                est = np.where(own <= 1, own, alt).astype(np.int8)
+            else:
+                est = own
+            if (b, i) in info[u]:
+                failure |= est > 1
+                val = np.where(est <= 1, est, 0).astype(np.int8)
+            else:
+                val = np.zeros_like(est)  # frozen to zero
             cur.push(i, sym_xor(val, off))
             record(u, b, i, val)
-            continue
-        post = cur.peek(i)
-        own = sym_xor(post, off)
-        if (u, b, i) in promoted:
-            pair = promoted[(u, b, i)]
-            pcur = cursors[pair.block_a]
-            if pair.index_a in pcur.values:
-                alt_tree = pcur.values[pair.index_a]
-            else:
-                alt_tree = pcur.peek(pair.index_a)
-            alt_var_a = sym_xor(alt_tree, offsets[u][..., pair.block_a,
-                                                     pair.index_a - 1])
-            alt = alt_var_a  # xor variable frozen to 0: u_b = 0 ^ u_a
-            est = np.where(own <= 1, own, alt).astype(np.int8)
-        else:
-            est = own
-        if (b, i) in info[u]:
-            failure |= est > 1
-            val = np.where(est <= 1, est, 0).astype(np.int8)
-        else:
-            val = np.zeros_like(est)  # frozen to zero
-        cur.push(i, sym_xor(val, off))
-        record(u, b, i, val)
 
     messages = {}
     for u in ds:
@@ -466,19 +475,20 @@ def failure_plan(spec: CompoundCodeSpec, receiver: int) -> FailurePlan:
             for u in spec.receivers[receiver].decode_set}
     decided = set()
     single, pairs = [], []
-    for (b, s) in spec.orders[receiver]:
-        u, i = slot_var[s]
-        if (b, i) in decided:
-            continue
-        decided.add((b, i))
-        if (u, b, i) in xor_pair or (b, i) not in info[u]:
-            continue
-        bit = (i - 1) * nb + b
-        pair = promoted.get((u, b, i))
-        if pair is None:
-            single.append(bit)
-        elif (pair.block_a, pair.index_a) not in decided:
-            pairs.append((bit, (pair.index_a - 1) * nb + pair.block_a))
+    for b, start, stop in spec.runs[receiver]:
+        for s in range(start, stop):
+            u, i = slot_var[s]
+            if (b, i) in decided:
+                continue
+            decided.add((b, i))
+            if (u, b, i) in xor_pair or (b, i) not in info[u]:
+                continue
+            bit = (i - 1) * nb + b
+            pair = promoted.get((u, b, i))
+            if pair is None:
+                single.append(bit)
+            elif (pair.block_a, pair.index_a) not in decided:
+                pairs.append((bit, (pair.index_a - 1) * nb + pair.block_a))
     return FailurePlan(np.array(single, dtype=np.intp),
                        np.array(pairs, dtype=np.intp).reshape(-1, 2))
 

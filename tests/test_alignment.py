@@ -1,15 +1,18 @@
+import hashlib
 import json
 import random
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarnet.alignment import (
     ScheduleError,
     build_schedule,
     combined_eps,
     dag_to_dot,
+    decode_runs,
     decoding_dag,
     decoding_order,
     incompatible_fraction,
@@ -18,6 +21,8 @@ from polarnet.alignment import (
     validate_successive_decodability,
 )
 from polarnet.chains import MonotonePath
+from polarnet.codec import ReceiverSpec, build_code
+from polarnet.erasure import ParityLinkedErasureMAC
 from polarnet.polar import IndexClassification
 
 
@@ -173,3 +178,71 @@ class TestPairsForUser:
         xor = [e for e in s.layouts[1] if e[0] == "xor"]
         assert [((p.block_a, p.index_a), (p.block_b, p.index_b))
                 for p in s.pairs_for_user(1)] == [e[1:] for e in xor]
+
+
+@st.composite
+def small_raw_schedules(draw):
+    """A raw schedule of 1-2 users, N <= 16 and k <= 3 with random pairs,
+    and a random monotone path over its users."""
+    K = draw(st.integers(1, 2))
+    N = 1 << draw(st.integers(0, 4))
+    blocks = 1 << draw(st.integers(0, 3))
+    pair = st.tuples(st.integers(0, blocks - 1), st.integers(1, N),
+                     st.integers(0, blocks - 1), st.integers(1, N))
+    levels = [(draw(st.integers(1, K)), draw(st.lists(pair, max_size=4)))
+              for _ in range(blocks.bit_length() - 1)]
+    seq = draw(st.permutations([u for u in range(1, K + 1) for _ in range(N)]))
+    return raw_schedule(K, N, levels), MonotonePath(tuple(seq), K)
+
+
+class TestDecodeRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(small_raw_schedules())
+    def test_matches_networkx(self, case):
+        s, path = case
+        g = decoding_dag(s, path)
+        if nx.is_directed_acyclic_graph(g):
+            runs = decode_runs(s, path)
+            assert all(start < stop for _, start, stop in runs)
+            # maximal: a block never continues in the next run
+            assert all(not (a[0] == b[0] and a[2] == b[1])
+                       for a, b in zip(runs, runs[1:]))
+            assert [(b, t) for b, start, stop in runs
+                    for t in range(start, stop)] == list(
+                        nx.lexicographical_topological_sort(g))
+        else:
+            with pytest.raises(ScheduleError) as ei:
+                decode_runs(s, path)
+            cycle = ei.value.cycle
+            assert len(set(cycle)) == len(cycle)
+            assert all(g.has_edge(a, b)
+                       for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+class TestCycleReport:
+    """The message and cycle of a ScheduleError, pinned before decode
+    orders became runs."""
+
+    def test_crossed_pairing(self):
+        s = raw_schedule(1, 4, [(1, [(0, 2, 1, 3), (1, 1, 0, 4)])])
+        with pytest.raises(ScheduleError) as ei:
+            validate_successive_decodability(s, MonotonePath((1, 1, 1, 1), 1))
+        assert str(ei.value) == (
+            "combining induces a circular decoding dependency through 6 "
+            "slots: (0, 2) -> (0, 3) -> (1, 0) -> (1, 1) -> (1, 2) -> (0, 1)")
+        assert ei.value.cycle == [(0, 2), (0, 3), (1, 0), (1, 1), (1, 2),
+                                  (0, 1)]
+
+    def test_readme_build_at_512(self):
+        recs = [ReceiverSpec(ParityLinkedErasureMAC(2, (0.5,)), (1, 2)),
+                ReceiverSpec(ParityLinkedErasureMAC(2, (0.0, 1.0)), (1, 2))]
+        with pytest.raises(ScheduleError) as ei:
+            build_code(recs, (0.75, 0.75), N=512, k=2, split_eps=0.1)
+        assert str(ei.value) == (
+            "combining induces a circular decoding dependency through 701 "
+            "slots: (0, 128) -> (0, 129) -> (0, 130) -> (0, 131) -> "
+            "(0, 132) -> (0, 133) -> (0, 134) -> (0, 135) -> ...")
+        cycle = ei.value.cycle
+        assert len(cycle) == 701
+        assert hashlib.sha256(repr(cycle).encode()).hexdigest() == (
+            "b8d0a14da08261002b5e2e218f0e6b7e72e1007c4c881235720dd939e10f63cb")

@@ -70,6 +70,19 @@ class TestExitCodes:
         assert main(["analyze", "--config", cfg, "--out-dir", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("path", ["1^3 2^3", "1^2 2^2 3^2"],
+                             ids=["blocklength-not-power-of-two",
+                                  "user-count-differs"])
+    def test_path_does_not_fit_adder_mac(self, tmp_path, path):
+        # the 2-user binary adder is evaluated in its parity-linked form
+        cfg = write(tmp_path, "c.json", {
+            "mac": {"inputs": [2, 2], "outputs": 3,
+                    "kernel": [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]},
+            "path": path})
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg", [
         dict(BUILD_CFG, k=-1),
         dict(BUILD_CFG, N=512, k=2),   # its decoding order is cyclic

@@ -1,4 +1,5 @@
-"""Every module under src/polarnet uses each name it imports.
+"""Every module under src/polarnet uses each name it imports, and
+``import polarnet`` does not load networkx.
 
 No linter runs on this package, so unused imports are caught here with
 the standard-library ``ast`` module.  ``__init__.py`` is exempt: its
@@ -6,7 +7,10 @@ imports are the package's public re-exports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +45,13 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_out_networkx():
+    # only decoding_dag, a helper for tests and diagnostics, imports it
+    src = str(pathlib.Path(polarnet.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, polarnet; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
