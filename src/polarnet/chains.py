@@ -129,8 +129,9 @@ class PathRateProfile:
 def path_rates(mac, path: MonotonePath, evaluator=None) -> PathRateProfile:
     """Per-index conditional MIs and per-user rates of a monotone path.
 
-    A parity-linked MAC, and the 2-user binary adder in its parity-linked
-    form, raise PreconditionError for a path that does not fit them.
+    A path whose user count differs from the MAC's raises
+    PreconditionError, and so does one that does not fit a parity-linked
+    MAC or the 2-user binary adder in its parity-linked form.
     """
     N = path.blocklength
     K = path.num_users
@@ -155,6 +156,8 @@ def path_rates(mac, path: MonotonePath, evaluator=None) -> PathRateProfile:
         mode = "exact-erasure"
     else:
         ev = evaluator or make_evaluator(mac, N)
+        if K != ev.K:
+            raise PreconditionError(f"path has {K} users, the MAC has {ev.K}")
         lens = [0] * K
         prev = ev.cond_entropy(lens)
         mi = np.empty(K * N)

@@ -26,13 +26,34 @@ from .channels import DiscreteChannel, UnsupportedChannelError, KernelSizeError
 from .erasure import ParityLinkedErasureMAC, polar_transform_bits
 
 
-def _entropy_from_sorted_keys(keys: np.ndarray) -> float:
-    """H of the empirical (uniform-weight) distribution of sorted keys, bits."""
-    M = len(keys)
-    change = np.nonzero(np.diff(keys))[0]
-    bounds = np.concatenate([[0], change + 1, [M]])
-    counts = np.diff(bounds).astype(float)
-    return float(np.log2(M) - counts @ np.log2(counts) / M)
+class _Scratch:
+    """Work arrays for the queries of one evaluator over M keys.
+
+    Every query builds, sorts and run-counts M-entry arrays.  Kept for
+    the evaluator's life, these arrays are written in place, so a query
+    allocates only its run boundaries: freshly allocated temporaries of
+    this size would cost page faults whose number depends on the
+    allocator's history, which makes equal queries take unequal times.
+    """
+
+    def __init__(self, M: int):
+        self.key = np.empty(M, dtype=np.uint64)
+        self.shifted = np.empty(M, dtype=np.uint64)
+        self.prefix = np.empty(M, dtype=np.uint32)
+        self.edge = np.ones(M + 1, dtype=bool)  # edge[0] and edge[M] stay set
+        self.counts = np.empty(M)
+        self.logs = np.empty(M)
+
+    def entropy(self, keys: np.ndarray) -> float:
+        """H of the empirical (uniform-weight) distribution of M sorted keys, bits."""
+        M = len(keys)
+        np.not_equal(keys[1:], keys[:-1], out=self.edge[1:M])
+        bounds = np.flatnonzero(self.edge)
+        runs = len(bounds) - 1
+        counts = self.counts[:runs]
+        np.subtract(bounds[1:], bounds[:-1], out=counts)
+        logs = np.log2(counts, out=self.logs[:runs])
+        return float(np.log2(M) - counts @ logs / M)
 
 
 def _transform_table(N: int) -> np.ndarray:
@@ -98,21 +119,29 @@ class BruteForceEvaluator:
             _prefix_field(f, N, N).astype(np.uint32) for f in u_fields
         ]
         del u_fields, x_fields
-        self._h_y = _entropy_from_sorted_keys(np.sort(y_idx))
+        self._scratch = _Scratch(M)
+        self._h_y = self._scratch.entropy(np.sort(y_idx))
 
     def _key(self, prefix_lens) -> np.ndarray:
-        key = self._y.astype(np.uint64)
+        """Keys of the query (output, then each user's prefix), unsorted.
+
+        They are written into the scratch key array, which the next
+        query overwrites; an evaluator serves one query at a time.
+        """
+        key, prefix = self._scratch.key, self._scratch.prefix
+        np.copyto(key, self._y)
         for j, a in enumerate(prefix_lens):
             if a:
-                key = (key << np.uint64(a)) | (
-                    self._pref[j].astype(np.uint64) >> np.uint64(self.N - a)
-                )
+                key <<= np.uint64(a)
+                np.right_shift(self._pref[j], np.uint32(self.N - a), out=prefix)
+                key |= prefix
         return key
 
     def cond_entropy(self, prefix_lens) -> float:
         """H(U_1^{a_1}, ..., U_K^{a_K} | Y^N) in bits."""
         key = self._key(prefix_lens)
-        return _entropy_from_sorted_keys(np.sort(key)) - self._h_y
+        key.sort()
+        return self._scratch.entropy(key) - self._h_y
 
     def sweep_entropies(self, base_prefix_lens, sweep_user: int) -> np.ndarray:
         """cond_entropy with user ``sweep_user`` (1-based) at every length 0..N.
@@ -123,12 +152,14 @@ class BruteForceEvaluator:
         j = sweep_user - 1
         base[j] = 0
         key = self._key(base)
-        key = (key << np.uint64(self.N)) | self._pref[j].astype(np.uint64)
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
+        key <<= np.uint64(self.N)
+        key |= self._pref[j]
+        key.sort()
+        shifted = self._scratch.shifted
         out = np.empty(self.N + 1)
         for a in range(self.N + 1):
-            out[a] = _entropy_from_sorted_keys(skey >> np.uint64(self.N - a)) - self._h_y
+            np.right_shift(key, np.uint64(self.N - a), out=shifted)
+            out[a] = self._scratch.entropy(shifted) - self._h_y
         return out
 
 
@@ -162,7 +193,8 @@ class Adder3Evaluator:
         self._pref = [
             _prefix_field(t, N, N).astype(np.uint32) for t in (t1, t2, t3)
         ]
-        self._h_y = _entropy_from_sorted_keys(np.sort(self._y))
+        self._scratch = _Scratch(1 << (2 * N))
+        self._h_y = self._scratch.entropy(np.sort(self._y))
 
     _key = BruteForceEvaluator._key
     cond_entropy = BruteForceEvaluator.cond_entropy

@@ -9,6 +9,18 @@ Rate polytopes live in the nonnegative orthant; inequalities are
 ``coeffs . R <= bound`` with nonnegativity implicit.  Geometry uses a
 1e-9 tolerance by default; ``exact=True`` switches the combination
 arithmetic to :class:`fractions.Fraction` for dyadic cross-checks.
+
+Redundancy removal is specified by a loop: rows are visited in order
+and a row goes when an LP over the rows still kept cannot push it past
+its bound plus the tolerance.  On systems of more than 4 rows per
+coordinate two certificates decide most rows before the loop runs,
+each clearing the loop's decision by a margin so that it holds whatever
+the loop removed before: a witness point, found by shooting rays from
+the Chebyshev centre, that violates one row and satisfies all others
+keeps that row; a bound over the witnessed rows alone, from one
+block-diagonal LP, drops a row.  The loop then solves an LP only for
+the rows left undecided.  Every LP goes through :func:`linprog`, which
+imports scipy on its first call.
 """
 
 from __future__ import annotations
@@ -19,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channels import (
     DimensionError,
@@ -156,19 +167,50 @@ def _vertex_enumeration(rows, dim, tol=TOL):
     """Vertices of {x : A x <= b} via d-subset hyperplane intersections."""
     A = np.array([r[0] for r in rows], dtype=float)
     b = np.array([r[1] for r in rows], dtype=float)
+    combs = np.array(list(itertools.combinations(range(len(rows)), dim)),
+                     dtype=int).reshape(-1, dim)
+    subs = A[combs]
+    combs = combs[np.abs(np.linalg.det(subs)) >= 1e-12]
+    if not len(combs):
+        return []
+    xs = np.linalg.solve(A[combs], b[combs][..., None])[..., 0]
+    feasible = (xs @ A.T <= b + max(tol, 1e-8)).all(axis=1)
     seen = set()
     out = []
-    for comb in itertools.combinations(range(len(rows)), dim):
-        sub = A[list(comb)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub, b[list(comb)])
-        if (A @ x <= b + max(tol, 1e-8)).all():
-            key = tuple(round(float(v), 9) for v in x)
-            if key not in seen:
-                seen.add(key)
-                out.append(tuple(float(v) for v in x))
+    for x in xs[feasible]:
+        key = tuple(round(float(v), 9) for v in x)
+        if key not in seen:
+            seen.add(key)
+            out.append(tuple(float(v) for v in x))
     return sorted(out)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``; scipy is imported on the first solve."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
+# Certificates decide rows only in systems of more than this many rows
+# per dimension; on smaller ones their two extra solves cost more than
+# the per-row LPs they save.
+CERTIFY_ROWS_PER_DIM = 4
+# A certificate must clear a row's edge, bound + ``tol``, by this share
+# of max(1, |bound|): the loop's LP answers carry the solver's own 1e-7
+# feasibility tolerance, so a row that only touches the polytope, or
+# misses it by less than that, is left to the loop.
+MARGIN = 1e-6
+# Certificates need every nonzero coefficient within this factor of the
+# largest.  Below it the solver's 1e-7 optimality and 1e-9 matrix-entry
+# tolerances make the loop's LP answers depart from exact geometry (a
+# slope of 1e-8 towards an open direction reads as bounded), and only
+# the loop itself reproduces them.
+COEFF_RANGE = 1e6
+# Chebyshev radii at or below this mean a flat or empty polytope.
+MIN_RADIUS = 1e-7
+# Half-width of the box that keeps the batch LP of (b) bounded.
+BOX = 1e6
 
 
 def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
@@ -176,7 +218,12 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
 
     ``rows`` is a list of (coeffs, bound[, label]); returns same shape
     with labels preserved.  A row is redundant when maximizing its left
-    side subject to the others cannot exceed its bound.
+    side subject to the others cannot exceed its bound.  Rows are
+    visited in order and each redundant one is dropped before the next
+    is tested, so of two rows that imply each other the later survives.
+    :func:`_certify` decides most rows of a large system up front; the
+    verdicts it returns are the ones this loop would reach, and only the
+    undecided rows cost an LP each.
     """
     norm = []
     seen = set()
@@ -192,21 +239,128 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
             continue
         seen.add(key)
         norm.append((tuple(coeffs), bound, label))
-    kept = list(norm)
+    A = np.array([[float(c) for c in r[0]] for r in norm])
+    b = np.array([float(r[1]) for r in norm])
+    verdict = np.zeros(len(norm), dtype=int)
+    sizes = np.abs(A[A != 0])
+    if (len(norm) > CERTIFY_ROWS_PER_DIM * dim
+            and sizes.min() * COEFF_RANGE >= sizes.max()):
+        verdict = _certify(A, b, nonneg, tol)
+    lim = (0, None) if nonneg else (None, None)
+    kept = list(range(len(norm)))
     i = 0
     while i < len(kept):
-        coeffs, bound, label = kept[i]
-        others = kept[:i] + kept[i + 1:]
-        A = [[float(c) for c in o[0]] for o in others]
-        b = [float(o[1]) for o in others]
-        lim = (0, None) if nonneg else (None, None)
-        res = linprog([-float(c) for c in coeffs], A_ub=A or None,
-                      b_ub=b or None, bounds=[lim] * dim, method="highs")
-        if res.status == 0 and -res.fun <= float(bound) + tol:
+        k = kept[i]
+        if verdict[k]:
+            redundant = verdict[k] < 0
+        else:
+            others = kept[:i] + kept[i + 1:]
+            res = linprog(-A[k], A_ub=A[others] if others else None,
+                          b_ub=b[others] if others else None,
+                          bounds=[lim] * dim, method="highs")
+            redundant = res.status == 0 and -res.fun <= b[k] + tol
+        if redundant:
             kept.pop(i)
         else:
             i += 1
-    return kept
+    return [norm[k] for k in kept]
+
+
+def _certify(A, b, nonneg, tol):
+    """Verdicts the redundancy loop would reach: +1 keep, -1 drop, 0 unknown.
+
+    (a) Irredundant rows, by witness.  From the Chebyshev centre of the
+    system, rays go along every row normal; a second round goes along
+    the normals of the rows still open, from the points 95 % of the way
+    from the centre to the first round's hits.  The point halfway
+    between a ray's first and second hit is a witness when it violates
+    the first-hit row by ``tol`` plus the margin and satisfies every
+    other row (and x >= 0 with ``nonneg``): an LP over any subset of the
+    others then exceeds the row's bound, so the loop keeps the row
+    whatever it removed before.  (Rows hit first together leave the
+    witness on both hyperplanes, violating neither.)  A flat or empty
+    polytope (radius <= MIN_RADIUS) gets no verdicts.
+
+    (b) Redundant rows, by bound.  One block-diagonal LP maximises each
+    open row over the witnessed rows alone, inside a box.  When the
+    box is slack (zero duals) and the maximum is the margin below the
+    row's bound + ``tol``, so is the LP over any superset of the
+    witnessed rows, which every set of "others" the loop meets is.
+    """
+    n, dim = A.shape
+    verdict = np.zeros(n, dtype=int)
+    G, h = A, b
+    if nonneg:
+        G = np.vstack([A, -np.eye(dim)])
+        h = np.concatenate([b, np.zeros(dim)])
+    norms = np.linalg.norm(G, axis=1)
+    # radius capped at 1, so that the LP stays bounded on open polytopes
+    cheb = linprog(np.r_[np.zeros(dim), -1.0],
+                   A_ub=np.hstack([G, norms[:, None]]), b_ub=h,
+                   bounds=[(None, None)] * dim + [(0, 1)], method="highs")
+    if cheb.status != 0 or cheb.x[-1] <= MIN_RADIUS:
+        return verdict
+    centre = cheb.x[:dim]
+    hits = _shoot(G, h, n, centre[None, :], A, verdict, tol)
+    open_ = np.flatnonzero(verdict == 0)
+    if len(open_) and len(hits):
+        near = centre + 0.95 * (hits - centre)
+        _shoot(G, h, n, near, A[open_], verdict, tol)
+    open_ = np.flatnonzero(verdict == 0)
+    sure = np.flatnonzero(verdict > 0)
+    if not len(open_) or not len(sure):
+        return verdict
+    from scipy.sparse import eye, kron
+
+    u = len(open_)
+    lo = 0.0 if nonneg else -BOX
+    res = linprog(-A[open_].ravel(), A_ub=kron(eye(u), A[sure], format="csr"),
+                  b_ub=np.tile(b[sure], u), bounds=[(lo, BOX)] * (u * dim),
+                  method="highs")
+    if res.status != 0:
+        return verdict
+    x = res.x.reshape(u, dim)
+    slack_box = (res.upper.marginals.reshape(u, dim) == 0).all(axis=1)
+    if not nonneg:
+        slack_box &= (res.lower.marginals.reshape(u, dim) == 0).all(axis=1)
+    top = np.einsum("ij,ij->i", A[open_], x)
+    edge = b[open_] + tol - MARGIN * np.maximum(1.0, np.abs(b[open_]))
+    verdict[open_[slack_box & (top <= edge)]] = -1
+    return verdict
+
+
+def _shoot(G, h, n, origins, dirs, verdict, tol):
+    """Certify the rows that rays from interior points hit first.
+
+    Casts a ray from every origin along every direction, sets
+    ``verdict`` to +1 for each row (of the first ``n`` of G) that a ray
+    certifies, and returns the first-hit points of the rays that hit
+    anything.  Rays go in chunks of at most 2**16 ray-row pairs, so the
+    temporaries stay under a megabyte each.
+    """
+    O = np.repeat(origins, len(dirs), axis=0)
+    D = np.tile(dirs, (len(origins), 1))
+    step = max(1, (1 << 16) // len(h))
+    hits = []
+    for s in range(0, len(O), step):
+        o, d = O[s:s + step], D[s:s + step]
+        rate = d @ G.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(rate > 0, (h - o @ G.T) / rate, np.inf)
+        first = np.argmin(t, axis=1)
+        t1, t2 = np.partition(t, 1, axis=1)[:, :2].T
+        hit = np.isfinite(t1)
+        o, d, first, t1, t2 = o[hit], d[hit], first[hit], t1[hit], t2[hit]
+        hits.append(o + t1[:, None] * d)
+        tw = np.where(np.isfinite(t2), (t1 + t2) / 2, 2 * t1)
+        excess = (o + tw[:, None] * d) @ G.T - h
+        rays = np.arange(len(o))
+        viol = excess[rays, first]
+        excess[rays, first] = -np.inf
+        ok = (first < n) & (excess.max(axis=1, initial=-np.inf) <= 0)
+        ok &= viol >= tol + MARGIN * np.maximum(1.0, np.abs(h[first]))
+        verdict[first[ok]] = 1
+    return np.concatenate(hits)
 
 
 # -- MAC regions ---------------------------------------------------------
@@ -332,7 +486,10 @@ def fourier_motzkin(rows, eliminate, dim=None, exact: bool = False,
 
     ``rows`` is a list of (coeffs, bound[, label]); coordinates keep
     their original positions (eliminated ones get zero coefficients).
-    With ``exact`` the combination arithmetic runs in Fractions.
+    With ``exact`` the combination arithmetic runs in Fractions.  With
+    ``prune`` every step that leaves more than 4 rows per coordinate
+    drops redundant rows, and so does a final pass unless the last
+    step already did: re-testing an irredundant set keeps every row.
     """
     rows = [(tuple(r[0]), r[1]) for r in rows]
     if dim is None:
@@ -341,6 +498,7 @@ def fourier_motzkin(rows, eliminate, dim=None, exact: bool = False,
         rows = [(tuple(Fraction(c).limit_denominator(10**12) if not
                        isinstance(c, Fraction) else c for c in co), Fraction(b)
                  if not isinstance(b, Fraction) else b) for co, b in rows]
+    pruned_last = False
     for var in eliminate:
         pos, neg, zero = [], [], []
         for co, b in rows:
@@ -357,12 +515,11 @@ def fourier_motzkin(rows, eliminate, dim=None, exact: bool = False,
             co = tuple(c * x + a * y for x, y in zip(cp, cn))
             combined.append((co, c * bp + a * bn))
         rows = combined
-        if prune and len(rows) > 4 * dim:
-            pruned = _remove_redundant(rows, dim, nonneg=False)
-            rows = [(co, b) for co, b, _ in pruned]
-    if prune:
-        pruned = _remove_redundant(rows, dim, nonneg=False)
-        rows = [(co, b) for co, b, _ in pruned]
+        pruned_last = prune and len(rows) > 4 * dim
+        if pruned_last:
+            rows = [(co, b) for co, b, _ in _remove_redundant(rows, dim)]
+    if prune and not pruned_last:
+        rows = [(co, b) for co, b, _ in _remove_redundant(rows, dim)]
     return rows
 
 

@@ -116,3 +116,22 @@ class TestKUserSplit:
             find_k_user_split(adder3, target, 0.05, N_max=512)
         msg = str(ei.value)
         assert "up to N=8;" in msg and "N=16" in msg and "512" not in msg
+
+
+class TestEnumerationEvaluators:
+    @pytest.mark.parametrize("make", [lambda: Adder3Evaluator(4),
+                                      lambda: BruteForceEvaluator(ADDER2, 4)],
+                             ids=["adder3", "brute-force"])
+    def test_queries_share_scratch_without_leaking(self, make):
+        # every query reuses the evaluator's work arrays: interleaved
+        # queries must give exactly what fresh evaluators give, and each
+        # sweep entry exactly the matching single query
+        ev = make()
+        K, N = ev.K, ev.N
+        queries = [(0,) * K, (N,) * K, (1, 3) + (2,) * (K - 2), (N, 0) + (0,) * (K - 2)]
+        for lens in queries:
+            before = ev.cond_entropy(lens)
+            sweep = ev.sweep_entropies(lens, K)
+            assert ev.cond_entropy(lens) == before == make().cond_entropy(lens)
+            for a in range(lens[-1], N + 1):
+                assert sweep[a] == ev.cond_entropy(lens[:-1] + (a,))

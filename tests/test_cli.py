@@ -83,6 +83,22 @@ class TestExitCodes:
         assert main(["analyze", "--config", cfg, "--out-dir", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("mac,path", [
+        # 3-user adder: Adder3Evaluator
+        ({"inputs": [2, 2, 2], "outputs": 4,
+          "kernel": [[1 if y == bin(x).count("1") else 0 for y in range(4)]
+                     for x in range(8)]}, "1^2 2^2"),
+        # 2-user OR channel: BruteForceEvaluator
+        ({"inputs": [2, 2], "outputs": 2,
+          "kernel": [[1, 0], [0, 1], [0, 1], [0, 1]]}, "1^2 2^2 3^2"),
+    ], ids=["adder3-two-user-path", "or-mac-three-user-path"])
+    def test_path_user_count_differs_from_enumerated_mac(self, tmp_path, mac,
+                                                         path):
+        cfg = write(tmp_path, "c.json", {"mac": mac, "path": path})
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg", [
         dict(BUILD_CFG, k=-1),
         dict(BUILD_CFG, N=512, k=2),   # its decoding order is cyclic

@@ -1,5 +1,5 @@
 """Every module under src/polarnet uses each name it imports, and
-``import polarnet`` does not load networkx.
+``import polarnet`` loads neither networkx nor scipy.optimize.
 
 No linter runs on this package, so unused imports are caught here with
 the standard-library ``ast`` module.  ``__init__.py`` is exempt: its
@@ -47,11 +47,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_package_import_leaves_out_networkx():
-    # only decoding_dag, a helper for tests and diagnostics, imports it
+def test_package_import_leaves_out_networkx_and_scipy_optimize():
+    # decoding_dag, a helper for tests and diagnostics, imports networkx
+    # and regions.linprog imports scipy.optimize, each when first called
     src = str(pathlib.Path(polarnet.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, polarnet; print('networkx' in sys.modules)"
+    code = ("import sys, polarnet; "
+            "print([m in sys.modules for m in ('networkx', 'scipy.optimize')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"

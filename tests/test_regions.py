@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from polarnet.channels import (
     DiscreteChannel,
@@ -13,6 +15,7 @@ from polarnet.regions import (
     RegionError,
     _derived_network,
     _receiver_marginal,
+    _remove_redundant,
     _vertex_enumeration,
     corner_points,
     dominant_face,
@@ -204,3 +207,159 @@ class TestHanKobayashi:
         p = InputDistribution.uniform((2, 2))  # wrong sender count
         with pytest.raises(RegionError):
             hk_region(ic, p, ([[0, 1], [1, 0]], [[0, 1], [1, 0]]), (3, 2))
+
+
+def reference_remove_redundant(rows, dim, nonneg=False, tol=1e-9):
+    """The sequential one-LP-per-row loop that ``_remove_redundant``
+    must reproduce, kept as it was before rows were decided by
+    certificates."""
+    norm = []
+    seen = set()
+    for r in rows:
+        coeffs, bound = r[0], r[1]
+        label = r[2] if len(r) > 2 else ""
+        if all(abs(float(c)) < 1e-14 for c in coeffs):
+            if float(bound) < -tol:
+                raise RegionError("infeasible constant constraint")
+            continue
+        key = Inequality(tuple(coeffs), float(bound)).scaled()
+        if key in seen:
+            continue
+        seen.add(key)
+        norm.append((tuple(coeffs), bound, label))
+    kept = list(norm)
+    i = 0
+    while i < len(kept):
+        coeffs, bound, label = kept[i]
+        others = kept[:i] + kept[i + 1:]
+        A = [[float(c) for c in o[0]] for o in others]
+        b = [float(o[1]) for o in others]
+        lim = (0, None) if nonneg else (None, None)
+        res = linprog([-float(c) for c in coeffs], A_ub=A or None,
+                      b_ub=b or None, bounds=[lim] * dim, method="highs")
+        if res.status == 0 and -res.fun <= float(bound) + tol:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+@st.composite
+def redundancy_systems(draw):
+    """Systems of more than 4 rows per coordinate, so that certificates
+    run: random facets around a point, then any of a box, a flat
+    direction (an equality), an open direction (no row bounds the last
+    coordinate from above), exact and near-duplicate rows, nearly
+    parallel rows, and a cut of depth near ``tol`` off a vertex."""
+    dim = draw(st.integers(2, 4))
+    small = st.integers(-3, 3)
+    x0 = [draw(small) / 2 for _ in range(dim)]
+    shape = draw(st.sampled_from(["box", "open", "neither"]))
+    rows = []
+
+    def add(coeffs, slack):
+        rows.append((tuple(float(c) for c in coeffs),
+                     float(np.dot(coeffs, x0)) + slack))
+
+    for _ in range(draw(st.integers(4 * dim + 1, 4 * dim + 8))):
+        coeffs = [draw(small) for _ in range(dim)]
+        if shape == "open":
+            coeffs[-1] = -abs(coeffs[-1])
+        add(coeffs, draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])))
+    if shape == "box":
+        for j in range(dim):
+            e = np.eye(dim)[j]
+            add(e, 4.0)
+            add(-e, 4.0)
+        verts = _vertex_enumeration(rows, dim)
+        if verts and draw(st.booleans()):
+            v = np.array(verts[draw(st.integers(0, len(verts) - 1))])
+            A = np.array([co for co, _ in rows])
+            b = np.array([bb for _, bb in rows])
+            tight = A[np.abs(A @ v - b) < 1e-9]
+            a = np.round(np.array([draw(st.integers(1, 9)) for _ in tight])
+                         @ tight / 7, 3)
+            depth = draw(st.sampled_from([5e-10, 1e-9, 2e-9]))
+            rows.append((tuple(float(c) for c in a), float(a @ v) - depth))
+    if draw(st.booleans()):
+        coeffs = np.array([draw(small) for _ in range(dim)], float)
+        add(coeffs, 0.0)
+        add(-coeffs, 0.0)
+    for _ in range(draw(st.integers(0, 4))):
+        co, b = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["scaled", "bound", "coeff", "slope"]))
+        delta = draw(st.sampled_from([1e-13, 1e-10, 1e-8, 1e-6, 1e-4]))
+        if kind == "scaled":                 # the same halfspace
+            f = draw(st.sampled_from([0.5, 2.0, 3.0]))
+            rows.append((tuple(f * c for c in co), f * b))
+        elif kind == "bound":
+            rows.append((co, b + draw(st.sampled_from([-1, 1])) * delta))
+        elif kind == "coeff":
+            j = draw(st.integers(0, dim - 1))
+            rows.append((co[:j] + (co[j] + delta,) + co[j + 1:], b))
+        else:                                # e_i - delta e_j <= c
+            i, j = draw(st.permutations(range(dim)))[:2]
+            if shape == "open":
+                i, j = draw(st.integers(0, dim - 2)), dim - 1
+            e = np.zeros(dim)
+            e[i], e[j] = 1.0, -delta
+            add(e, draw(st.sampled_from([0.0, 1.0])))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[k] for k in order], dim, draw(st.booleans())
+
+
+# x1 <= 20 is irredundant only past x2 = 2e6, beyond the batch LP's box,
+# where x1 <= 1e-5 x2 no longer holds x1 under 20: without the test on
+# the box's duals the batch LP would drop it.
+BEYOND_BOX = ([((1.0, -1e-5), 0.0), ((1.0, 0.0), 20.0), ((-1.0, 0.0), 1.0),
+               ((0.0, -1.0), 0.0), ((-1.0, 0.0), 2.0), ((-1.0, 0.0), 3.0),
+               ((0.0, -1.0), 1.0), ((0.0, -1.0), 2.0), ((-1.0, -1.0), 5.0)],
+              2, False)
+# Found by hypothesis.  (1, 2) . x <= -1e-10 touches the polytope at the
+# origin, and the solver, allowed 1e-7 of infeasibility, reaches 1e-8
+# past it along (1, 2) . x <= 1e-8: the loop keeps the row, so a bound
+# that merely meets the row's edge must not drop it.
+OPEN_SYSTEM = ([((1.0, 2.0), 0.0), ((0.0, 1.0), 0.5), ((1.0, 1.0), 0.0),
+                ((0.0, 1.0), 2.0), ((1.0, 2.0), -1e-10), ((0.0, 0.0), 0.0),
+                ((-1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((0.0, 1.0), 1.0),
+                ((1.0, 2.0), 1e-08)], 2, False)
+# Found by searching corner cuts.  The first row cuts a vertex off at
+# depth tol, so whether the loop keeps it rests on the last bits of its
+# LP value.
+CORNER_CUT = ([((-1.019, 3.666), 4.2314444434444445), ((1.0, 0.0), 4.5),
+               ((-0.0, -1.0), 3.0), ((1.0, -1.0), 0.0), ((-3.0, 3.0), 2.5),
+               ((-1.0, -0.0), 3.5), ((0.0, 1.0), 2.0), ((3.0, 1.0), 3.0),
+               ((0.0, 1.0), 5.0), ((3.0, -2.0), 0.0), ((1.0, 2.0), 3.0),
+               ((1.0, -2.0), 0.5), ((1.0, 1.0), 2.5), ((-2.0, -3.0), -3.0)],
+              2, False)
+# Found by hypothesis.  Slopes of 1e-8 and 1e-13 towards the open third
+# coordinate: the solver reads (1, 1, 0) . x <= 0 as redundant, though
+# x1 + x2 grows without bound along them, so no certificate may decide
+# this system.
+TINY_SLOPES = ([((0.0, 1.0, -1.0), 0.0), ((-1.0, 0.0, 0.0), 0.0),
+                ((0.0, 0.0, -1.0), 0.5), ((0.0, 0.0, -1.0), 1.0),
+                ((1.0, 0.0, 0.0), 0.5), ((1.0, 1.0, 0.0), 0.0),
+                ((0.0, 0.0, -1.0), 0.0), ((0.0, -1.0, -1.0), 0.0),
+                ((0.0, -1.0, 0.0), 0.5), ((0.0, 0.0, -2.0), 0.5),
+                ((0.0, 1.0, 0.0), 0.5), ((0.0, 1.0, -1e-13), 0.0),
+                ((1.0, 0.0, -1e-08), 0.0)], 3, False)
+
+
+class TestRemoveRedundant:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(redundancy_systems())
+    @example(BEYOND_BOX)
+    @example(OPEN_SYSTEM)
+    @example(CORNER_CUT)
+    @example(TINY_SLOPES)
+    def test_matches_sequential_loop(self, system):
+        rows, dim, nonneg = system
+        assert (outcome(_remove_redundant, rows, dim, nonneg)
+                == outcome(reference_remove_redundant, rows, dim, nonneg))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RegionError as e:
+        return repr(e)
