@@ -14,12 +14,13 @@ decodability.  Within a block the slots form a chain, so a decode order
 is stored as runs ``(block, start, stop)``: slots start..stop-1 of one
 block, decoded one after another.  A run ends only where a pair lets a
 lower block go next or makes this block wait for another.
+``AlignmentSchedule.to_dict`` gives the levels and their pairs as a
+JSON-ready document, which ``CompoundCodeSpec.to_dict`` embeds.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,8 +74,9 @@ class AlignmentSchedule:
         later levels duplicate already-combined structure."""
         return self.pairs.get(user, ())
 
-    def to_json(self) -> str:
-        obj = {
+    def to_dict(self) -> dict:
+        """The schedule as a JSON-ready document (levels and their pairs)."""
+        return {
             "num_users": self.num_users,
             "blocklength": self.blocklength,
             "total_blocks": self.total_blocks,
@@ -91,7 +93,6 @@ class AlignmentSchedule:
                 for lvl in self.levels
             ],
         }
-        return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def pair_indices(type_II, type_III):
@@ -125,17 +126,16 @@ def _raw_entries(layout):
     return [e for e in layout if e[0] == RAW]
 
 
-def build_schedule(classifications, k: int, mode: str = "compound-two-user",
-                   first_user: int = 1,
-                   blocklength: int | None = None) -> AlignmentSchedule:
+def build_schedule(classifications, k: int,
+                   blocklength: int) -> AlignmentSchedule:
     """Build the k-level recursive combining plan.
 
     ``classifications`` maps user id to an object with ``type_II`` and
-    ``type_III`` index sets (1-based, common blocklength).  In
-    compound-two-user mode levels alternate between the two users
-    starting at ``first_user``; in k-user-sequential mode they cycle
-    through users 1..K.  Every emitted schedule is validated for
-    successive decodability under the plain user-concatenation order.
+    ``type_III`` index sets (1-based, within ``blocklength``).  Level
+    ``l`` aligns the indices of user ``(l - 1) % K + 1``, so the levels
+    cycle through users 1..K (for two users: 1, 2, 1, ...).  Every
+    emitted schedule is validated for successive decodability under the
+    plain user-concatenation order.
     """
     if k < 0:
         raise ScheduleError("level count must be nonnegative")
@@ -144,13 +144,6 @@ def build_schedule(classifications, k: int, mode: str = "compound-two-user",
     if users != list(range(1, K + 1)):
         raise ScheduleError("classifications must cover users 1..K")
     N = blocklength
-    if N is None:
-        N = max(
-            [0]
-            + [max(c.type_II | c.type_III, default=0) for c in classifications.values()]
-        )
-        N = 1 << max(0, (N - 1).bit_length())
-        N = max(N, 1)
     # per-user evolving combined-sequence layout plus surviving II/III sets
     layout = {
         u: [(RAW, 0, i) for i in range(1, N + 1)] for u in users
@@ -163,14 +156,7 @@ def build_schedule(classifications, k: int, mode: str = "compound-two-user",
     }
     levels = []
     for lvl in range(1, k + 1):
-        if mode == "compound-two-user":
-            if K != 2:
-                raise ScheduleError("compound-two-user mode needs exactly 2 users")
-            user = first_user if lvl % 2 == 1 else 3 - first_user
-        elif mode == "k-user-sequential":
-            user = users[(lvl - 1) % K]
-        else:
-            raise ScheduleError(f"unknown mode {mode!r}")
+        user = users[(lvl - 1) % K]
         half = 1 << (lvl - 1)
         # duplicate the structure: blocks half..2*half-1 copy 0..half-1
         copies = {u: _shift_layout(layout[u], half) for u in users}

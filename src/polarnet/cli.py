@@ -9,9 +9,12 @@ that receiver left some information bit of any user it decodes erased,
 so every user of a receiver shows the same count).  All outputs are CSV
 or JSON, deterministic byte-for-byte given (config, seed) regardless of
 ``--threads``; every row or document carries the config hash and the
-package version.
+package version.  A JSON document is the ``to_dict()`` of the code or
+region it describes, stamped and encoded once.
 
-Exit codes: 0 success, 2 configuration error, 3 precondition error.
+Exit codes: 0 success, 2 configuration error (among them an ``analyze``
+``"mode"`` other than ``"auto"``, ``"exact"`` or ``"mc"``, and
+``simulate --threads`` below 1), 3 precondition error.
 """
 
 from __future__ import annotations
@@ -156,6 +159,8 @@ def _json_doc(payload: dict, cfg_hash: str) -> str:
 def cmd_analyze(cfg: dict, args) -> int:
     h = _config_hash(cfg)
     mode = cfg.get("mode", "auto")
+    if mode not in ("auto", "exact", "mc"):
+        raise ConfigError(f"unknown mode {mode!r}")
     if args.mc:
         mode = "mc"
     if args.exact:
@@ -179,16 +184,11 @@ def cmd_analyze(cfg: dict, args) -> int:
         est = EstimatorConfig(
             trials=_value(cfg, "trials", int, 10_000), seed=args.seed
         )
-        stats = synthesize_p2p(ch, n, est,
-                               mode=mode if mode in ("exact", "mc") else "auto")
+        stats = synthesize_p2p(ch, n, est, mode=mode)
         path_out = _write(args.out_dir, "bit_channels.csv",
                           _stamp_csv(stats_to_csv(stats), h))
     print(path_out)
     return 0
-
-
-def _region_payload(region) -> dict:
-    return json.loads(region.to_json())
 
 
 def cmd_region(cfg: dict, args) -> int:
@@ -198,15 +198,14 @@ def cmd_region(cfg: dict, args) -> int:
         ch = _load_channel(_require(cfg, "channel"))
         p = _load_distribution(cfg.get("p"), ch.input_arities)
         region = mac_region(ch, p, cfg.get("decode_set"))
-        payload = {"task": task, "region": _region_payload(region)}
+        payload = {"task": task, "region": region.to_dict()}
     elif task == "intersect":
         regions = []
         for entry in _require(cfg, "channels"):
             ch = _load_channel(entry)
             p = _load_distribution(cfg.get("p"), ch.input_arities)
             regions.append(mac_region(ch, p, cfg.get("decode_set")))
-        payload = {"task": task,
-                   "region": _region_payload(intersect(regions))}
+        payload = {"task": task, "region": intersect(regions).to_dict()}
     elif task == "hk":
         ch = _load_channel(_require(cfg, "channel"))
         maps = _require(cfg, "maps")
@@ -215,14 +214,14 @@ def cmd_region(cfg: dict, args) -> int:
         dims = (len(maps[0]), len(maps[0][0]), len(maps[1]), len(maps[1][0]))
         p = _load_distribution(cfg.get("p"), dims)
         region = hk_region(ch, p, maps, arities)
-        payload = {"task": task, "region": json.loads(region.to_json())}
+        payload = {"task": task, "region": region.to_dict()}
     elif task == "superposition":
         ch1 = _load_channel(_require(cfg, "channel_y1"))
         ch2 = _load_channel(_require(cfg, "channel_y2"))
         p = _load_distribution(cfg.get("p"), ch1.input_arities)
         regs = superposition_regions(ch1, ch2, p)
         payload = {"task": task, "regions": {
-            str(i): json.loads(r.to_json()) for i, r in regs.items()
+            str(i): r.to_dict() for i, r in regs.items()
         }}
     elif task == "strong-interference":
         ch1 = _load_channel(_require(cfg, "channel_y"))
@@ -235,13 +234,10 @@ def cmd_region(cfg: dict, args) -> int:
         raise ConfigError(f"unknown region task {task!r}")
     out = _write(args.out_dir, "region.json", _json_doc(payload, h))
     # vertex CSV for plotting
-    verts = []
-    if "region" in payload:
-        verts = payload["region"].get("vertices", [])
+    verts = payload.get("region", {}).get("vertices")
     if verts:
-        buf = "v1,v2" + ("" if len(verts[0]) == 2 else
-                         "".join(f",v{i+1}" for i in range(2, len(verts[0]))))
-        lines = [buf] + [",".join(repr(float(x)) for x in v) for v in verts]
+        header = ",".join(f"v{i + 1}" for i in range(len(verts[0])))
+        lines = [header] + [",".join(repr(float(x)) for x in v) for v in verts]
         _write(args.out_dir, "region_vertices.csv",
                _stamp_csv("\n".join(lines) + "\n", h))
     print(out)
@@ -279,7 +275,7 @@ def cmd_build(cfg: dict, args) -> int:
     spec = _build_from_config(cfg)
     report = theorem1_check(spec, _value(cfg, "epsilon", float, 0.05))
     spec_path = _write(args.out_dir, "code_spec.json",
-                       _json_doc(json.loads(spec.to_json()), h))
+                       _json_doc(spec.to_dict(), h))
     _write(args.out_dir, "theorem_report.json", _json_doc({
         "per_user": {str(u): d for u, d in report.per_user.items()},
         "passed_i": report.passed_i,
@@ -294,8 +290,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     h = _config_hash(cfg)
     trials = _value(cfg, "trials", int, 1000)
     chunk = _value(cfg, "chunk", int, 2048)
-    if trials < 1 or chunk < 1:
-        raise ConfigError("trials and chunk must be positive")
+    if trials < 1 or chunk < 1 or args.threads < 1:
+        raise ConfigError("trials, chunk and --threads must be positive")
     spec = _build_from_config(cfg)
     errors, n = simulate(spec, trials, seed=args.seed, chunk=chunk,
                          threads=args.threads)

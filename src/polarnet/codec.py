@@ -16,6 +16,8 @@ decode order is compiled once into a :class:`FailurePlan`, and the plan
 is evaluated on bit-packed erasure patterns with array operations.
 :func:`sc_decode`, with :func:`encode` and :func:`transmit`, stays as
 the reference decoder that the tests compare the plan against.
+:meth:`CompoundCodeSpec.to_dict` gives a code as the JSON-ready document
+behind ``code_spec.json``.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class CompoundCodeSpec:
     def achieved_rates(self) -> dict[int, float]:
         return {u: len(self.info_sets[u]) / self.M for u in self.info_sets}
 
-    def to_json(self) -> str:
-        obj = {
+    def to_dict(self) -> dict:
+        """The code as a JSON-ready document; user ids are string keys."""
+        return {
             "num_users": self.num_users,
             "N": self.N,
             "k": self.k,
@@ -116,9 +119,11 @@ class CompoundCodeSpec:
             },
             "achieved_rates": {str(u): r for u, r in self.achieved_rates.items()},
             "jointly_good": {str(u): c for u, c in self.jointly_good.items()},
-            "schedule": json.loads(self.schedule.to_json()),
+            "schedule": self.schedule.to_dict(),
         }
-        return json.dumps(obj, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _per_user_stats(rec: ReceiverSpec, path: MonotonePath):
@@ -220,10 +225,7 @@ def build_code(receivers, target, N: int, k: int,
         other = seen[1] if len(seen) > 1 else seen[0]
         cls[u] = classify(my, other, delta_good, delta_bad)
 
-    mode = "compound-two-user" if (num_users == 2 and len(receivers) == 2
-                                   and all(len(r.decode_set) == 2 for r in receivers)) \
-        else "k-user-sequential"
-    schedule = build_schedule(cls, k, mode=mode, blocklength=N)
+    schedule = build_schedule(cls, k, N)
     # computing each receiver's order also validates its decodability
     runs = [decode_runs(schedule, p, rec.decode_set)
             for rec, p in zip(receivers, paths)]
@@ -265,12 +267,13 @@ def build_code(receivers, target, N: int, k: int,
 # -- encoding ------------------------------------------------------------
 
 
-def encode(spec: CompoundCodeSpec, messages, frozen_value: int = 0):
+def encode(spec: CompoundCodeSpec, messages):
     """Map per-user message bit arrays to per-user codewords.
 
     ``messages[u]`` has batch shape (..., |info_u|).  Returns
     ``codewords[u]`` of shape (..., total_blocks, N) and the underlying
-    transform-domain blocks (needed by the channel simulator).
+    transform-domain blocks (needed by the channel simulator).  Frozen
+    bits are 0, as :func:`sc_decode` and :func:`failure_plan` assume.
     """
     nb = spec.schedule.total_blocks
     N = spec.N
@@ -280,7 +283,7 @@ def encode(spec: CompoundCodeSpec, messages, frozen_value: int = 0):
         if msg.shape[-1] != len(spec.info_sets[u]):
             raise ValueError(f"user {u}: message length mismatch")
         batch = msg.shape[:-1]
-        vals = np.full(batch + (nb, N), frozen_value, dtype=np.int8)
+        vals = np.zeros(batch + (nb, N), dtype=np.int8)
         for j, (b, i) in enumerate(spec.info_sets[u]):
             vals[..., b, i - 1] = msg[..., j]
         # xor slots carry the frozen XOR variable; the actual raw bit is
@@ -555,9 +558,10 @@ def simulate(spec: CompoundCodeSpec, trials: int, seed: int = 0,
     Returns ``(errors, trials)``: ``errors[r][u]`` is receiver r's
     block-failure count, the trials in which some information bit of
     any user it decodes stayed erased, repeated for each such user u.
+    ``trials``, ``chunk`` and ``threads`` below 1 raise ``ValueError``.
     """
-    if trials < 1 or chunk < 1:
-        raise ValueError("trials and chunk must be positive")
+    if trials < 1 or chunk < 1 or threads < 1:
+        raise ValueError("trials, chunk and threads must be positive")
     sizes = []
     done = 0
     while done < trials:

@@ -53,7 +53,10 @@ class _Scratch:
         counts = self.counts[:runs]
         np.subtract(bounds[1:], bounds[:-1], out=counts)
         logs = np.log2(counts, out=self.logs[:runs])
-        return float(np.log2(M) - counts @ logs / M)
+        # numpy's own pairwise sum, not BLAS: a dot product's rounding
+        # would depend on the BLAS thread count
+        np.multiply(counts, logs, out=logs)
+        return float(np.log2(M) - logs.sum() / M)
 
 
 def _transform_table(N: int) -> np.ndarray:

@@ -9,6 +9,8 @@ Rate polytopes live in the nonnegative orthant; inequalities are
 ``coeffs . R <= bound`` with nonnegativity implicit.  Geometry uses a
 1e-9 tolerance by default; ``exact=True`` switches the combination
 arithmetic to :class:`fractions.Fraction` for dyadic cross-checks.
+``RatePolytope.to_dict`` and ``Region2D.to_dict`` give a region as a
+JSON-ready document; ``to_json`` is that document, dumped.
 
 Redundancy removal is specified by a loop: rows are visited in order
 and a row goes when an LP over the rows still kept cannot push it past
@@ -112,16 +114,16 @@ class RatePolytope:
             self.dimension, [Inequality(c, b, l) for c, b, l in kept]
         )
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        """The polytope as a JSON-ready document, with its vertices."""
+        return {
             "dimension": self.dimension,
-            "inequalities": [
-                {"coeffs": [float(c) for c in q.coeffs],
-                 "bound": float(q.bound), "label": q.label}
-                for q in self.inequalities
-            ],
+            "inequalities": _inequality_dicts(self.inequalities),
             "vertices": [list(v) for v in self.vertices()],
-        }, indent=2)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass
@@ -138,16 +140,21 @@ class Region2D:
         verts = poly.vertices()
         return cls(_ccw_order(verts), list(ineqs), metadata or {})
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        """The polygon as a JSON-ready document."""
+        return {
             "vertices": [list(v) for v in self.vertices],
-            "inequalities": [
-                {"coeffs": [float(c) for c in q.coeffs],
-                 "bound": float(q.bound), "label": q.label}
-                for q in self.constraints
-            ],
+            "inequalities": _inequality_dicts(self.constraints),
             "metadata": self.metadata,
-        }, indent=2)
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+
+def _inequality_dicts(ineqs) -> list[dict]:
+    return [{"coeffs": [float(c) for c in q.coeffs],
+             "bound": float(q.bound), "label": q.label} for q in ineqs]
 
 
 # -- geometry helpers ----------------------------------------------------

@@ -154,7 +154,7 @@ class TestCriterion5HalvingLaw:
         II = set(range(1, m + 1))
         III = set(range(m + 1, m + n + 1))
         s = build_schedule({1: _balanced_classification(II, III)}, 4,
-                           mode="k-user-sequential", blocklength=N)
+                           blocklength=N)
         fr = incompatible_fraction(s, 1)
         expect = [Fraction(m + n, N)] + [
             Fraction(abs(m - n) * 2**t + 2 * min(m, n), N * 2**t)
@@ -196,8 +196,7 @@ class TestCriterion6SuccessiveDecodability:
             n = int(rng.integers(0, 5))
             cls = {1: _balanced_classification(idx[:m], idx[m:m + n])}
             k = int(rng.integers(0, 4))
-            s = build_schedule(cls, k, mode="k-user-sequential",
-                               blocklength=N)
+            s = build_schedule(cls, k, blocklength=N)
             validate_successive_decodability(s, MonotonePath((1,) * N, 1))
 
 

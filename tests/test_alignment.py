@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 
 import networkx as nx
@@ -49,7 +48,7 @@ class TestSchedule:
         from polarnet.alignment import align_decode, align_encode
 
         s = build_schedule({1: make_classification({3}, {6})}, 3,
-                           mode="k-user-sequential", blocklength=8)
+                           blocklength=8)
         rng = random.Random(1)
         for _ in range(20):
             blocks = [[rng.randint(0, 1) for _ in range(8)]
@@ -58,32 +57,27 @@ class TestSchedule:
 
     def test_duplicated_pairs_counted(self):
         s = build_schedule({1: make_classification({3}, {6})}, 3,
-                           mode="k-user-sequential", blocklength=8)
+                           blocklength=8)
         # levels pair 1, 2, 4 new structures; copies double earlier ones
         assert len(s.pairs_for_user(1)) == 7
 
     def test_json_export(self):
         s = build_schedule({1: make_classification({3}, {6})}, 2,
-                           mode="k-user-sequential", blocklength=8)
-        obj = json.loads(s.to_json())
+                           blocklength=8)
+        obj = s.to_dict()
         assert obj["total_blocks"] == 4
         assert len(obj["levels"]) == 2
-
-    def test_compound_mode_needs_two_users(self):
-        with pytest.raises(ScheduleError):
-            build_schedule({1: make_classification({1}, {2})}, 1,
-                           mode="compound-two-user", blocklength=4)
 
 
 class TestFractions:
     def test_empty_sets_zero(self):
         s = build_schedule({1: make_classification(set(), set())}, 3,
-                           mode="k-user-sequential", blocklength=8)
+                           blocklength=8)
         assert all(f == 0 for f in incompatible_fraction(s, 1))
 
     def test_leftover_arithmetic(self):
         s = build_schedule({1: make_classification({2, 4, 6}, {5, 7})}, 4,
-                           mode="k-user-sequential", blocklength=8)
+                           blocklength=8)
         fr = incompatible_fraction(s, 1)
         # base (m + n)/N, then (|m - n| + 2 min / 2^t)/N
         from fractions import Fraction
@@ -100,7 +94,7 @@ class TestDecodability:
         s = build_schedule(
             {1: make_classification({2, 3}, {6, 7}),
              2: make_classification({1}, {8})}, 4,
-            mode="compound-two-user", blocklength=8)
+            blocklength=8)
         path = MonotonePath.parse("1^8 2^8")
         validate_successive_decodability(s, path)
         order = decoding_order(s, path)
@@ -120,7 +114,7 @@ class TestDecodability:
 
     def test_dot_export(self):
         s = build_schedule({1: make_classification({3}, {6})}, 1,
-                           mode="k-user-sequential", blocklength=8)
+                           blocklength=8)
         text = dag_to_dot(decoding_dag(s, MonotonePath((1,) * 8, 1)))
         assert text.startswith("digraph") and "->" in text
 
@@ -128,7 +122,7 @@ class TestDecodability:
 class TestCombinedEps:
     def test_minus_plus_applied(self):
         s = build_schedule({1: make_classification({3}, {6})}, 1,
-                           mode="k-user-sequential", blocklength=8)
+                           blocklength=8)
         eps = combined_eps(s, 1, np.full(8, 0.5))
         assert eps.shape == (2, 8)
         pair = s.pairs_for_user(1)[0]
@@ -142,7 +136,7 @@ class TestCombinedEps:
         s = build_schedule(
             {1: make_classification({2, 3}, {6, 7}),
              2: make_classification({1, 4}, {5, 8})}, 4,
-            mode="compound-two-user", blocklength=8)
+            blocklength=8)
         base = np.random.default_rng(3).random(8)
         for u in (1, 2):
             slots = [(p.block_a, p.index_a) for p in s.pairs_for_user(u)]
@@ -174,7 +168,7 @@ class TestPairsForUser:
 
     def test_built_pairs_follow_the_layout(self):
         s = build_schedule({1: make_classification({3}, {6})}, 3,
-                           mode="k-user-sequential", blocklength=8)
+                           blocklength=8)
         xor = [e for e in s.layouts[1] if e[0] == "xor"]
         assert [((p.block_a, p.index_a), (p.block_b, p.index_b))
                 for p in s.pairs_for_user(1)] == [e[1:] for e in xor]

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,7 @@ from polarnet.chains import (
 )
 from polarnet.channels import DiscreteChannel
 from polarnet.erasure import ParityLinkedErasureMAC
+import polarnet
 from polarnet.exact import Adder3Evaluator, BruteForceEvaluator
 
 
@@ -135,3 +141,25 @@ class TestEnumerationEvaluators:
             assert ev.cond_entropy(lens) == before == make().cond_entropy(lens)
             for a in range(lens[-1], N + 1):
                 assert sweep[a] == ev.cond_entropy(lens[:-1] + (a,))
+
+    def test_entropies_do_not_depend_on_blas_threads(self):
+        # a BLAS dot product rounds differently with 1 and 2 threads;
+        # the entropies must come out bit-identical either way
+        code = (
+            "import hashlib, numpy as np\n"
+            "from polarnet.exact import Adder3Evaluator\n"
+            "ev = Adder3Evaluator(8)\n"
+            "h = hashlib.sha256()\n"
+            "rng = np.random.default_rng(0)\n"
+            "for lens in rng.integers(0, 9, size=(64, 3)).tolist():\n"
+            "    h.update(np.float64(ev.cond_entropy(lens)).tobytes())\n"
+            "print(h.hexdigest())\n")
+        src = str(pathlib.Path(polarnet.__file__).parent.parent)
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            digests.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True).stdout.strip())
+        assert len(digests) == 1

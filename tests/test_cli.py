@@ -115,6 +115,14 @@ class TestExitCodes:
         assert main(["simulate", "--config", path,
                      "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads(self, tmp_path, threads):
+        path = write(tmp_path, "c.json", dict(BUILD_CFG, trials=10))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--threads", threads,
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,cfg", [
         ("build", dict(BUILD_CFG, receivers=[
             {"eps_tile": [0.5, 0.5, 0.5], "decode_set": [1, 2]},
@@ -128,9 +136,13 @@ class TestExitCodes:
         ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": -1}),
         ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": 3,
                      "mode": "mc", "trials": 0}),
+        ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": 3,
+                     "mode": "bogus"}),
+        ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": 3,
+                     "mode": 7}),
     ], ids=["tile-length-3", "no-decode-set", "N-not-a-number",
             "trials-not-a-number", "mac-without-eps-tile", "negative-n",
-            "no-mc-trials"])
+            "no-mc-trials", "unknown-mode", "mode-not-a-string"])
     def test_bad_config_values(self, tmp_path, command, cfg):
         path = write(tmp_path, "c.json", cfg)
         out = tmp_path / "out"
@@ -178,6 +190,16 @@ class TestOutputs:
         doc = json.loads((tmp_path / "region.json").read_text())
         verts = [tuple(v) for v in doc["region"]["vertices"]]
         assert (0.5, 1.0) in verts and (1.0, 0.5) in verts
+
+    def test_one_dimensional_region_vertices(self, tmp_path):
+        cfg = write(tmp_path, "c.json", {
+            "task": "mac", "channel": {"type": "bec", "epsilon": 0.25}})
+        assert main(["region", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "region_vertices.csv").read_text().splitlines()
+        assert rows[0] == "v1,config_hash,version"
+        assert [r.split(",")[0] for r in rows[1:]] == ["-0.0", "0.75"]
+        assert all(len(r.split(",")) == 3 for r in rows)
 
     def test_build_and_simulate(self, tmp_path):
         cfg = write(tmp_path, "c.json", dict(BUILD_CFG, trials=100, chunk=32))

@@ -53,6 +53,8 @@ class TestBuild:
         obj = json.loads(spec.to_json())
         assert obj["M"] == spec.M
         assert obj["receivers"][0]["path"]
+        # the document is JSON-native already: string keys, lists
+        assert spec.to_dict() == obj
 
     def test_unequal_sum_strategy_dominates_target(self):
         recs = [ReceiverSpec(ParityLinkedErasureMAC(2, (0.25,)), (1, 2)),
@@ -137,6 +139,12 @@ class TestDecode:
         spec = two_user_compound(N=32, k=1)
         with pytest.raises(ValueError):
             simulate(spec, trials=trials, seed=0, chunk=chunk)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_simulate_rejects_nonpositive_threads(self, threads):
+        spec = two_user_compound(N=32, k=1)
+        with pytest.raises(ValueError):
+            simulate(spec, trials=10, seed=0, chunk=64, threads=threads)
 
 
 def shared_order_code(k=3):

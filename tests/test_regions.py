@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -59,6 +61,18 @@ class TestMacRegion:
         bad = RatePolytope(2, [Inequality((1.0, 2.0), 1.0)])
         with pytest.raises(UnsupportedChannelError):
             dominant_face(bad)
+
+
+class TestToDict:
+    def test_documents_are_json_native(self):
+        # to_json is one dump of to_dict, so the dict is what a reader
+        # parses back: lists, string keys, plain floats
+        ch1, ch2 = derived_bc(0.0, 0.1)
+        p = InputDistribution.product([[0.5, 0.5], [0.7, 0.3]])
+        regions = [mac_region(ADDER2, UNIF2), *superposition_regions(
+            ch1, ch2, p).values()]
+        for r in regions:
+            assert r.to_dict() == json.loads(r.to_json())
 
 
 class TestIntersect:
