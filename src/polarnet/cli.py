@@ -12,9 +12,13 @@ or JSON, deterministic byte-for-byte given (config, seed) regardless of
 package version.  A JSON document is the ``to_dict()`` of the code or
 region it describes, stamped and encoded once.
 
+Every subcommand takes ``--threads`` (only ``simulate`` runs threads);
+only ``analyze`` takes ``--exact``/``--mc``, and only on a channel config.
+
 Exit codes: 0 success, 2 configuration error (among them an ``analyze``
-``"mode"`` other than ``"auto"``, ``"exact"`` or ``"mc"``, and
-``simulate --threads`` below 1), 3 precondition error.
+``"mode"`` other than ``"auto"``, ``"exact"`` or ``"mc"``, ``--exact`` or
+``--mc`` on a path config, and ``--threads`` below 1), 3 precondition
+error.
 """
 
 from __future__ import annotations
@@ -166,6 +170,9 @@ def cmd_analyze(cfg: dict, args) -> int:
     if args.exact:
         mode = "exact"
     if "path" in cfg:
+        if args.mc or args.exact:
+            raise ConfigError("--exact and --mc apply to a channel config, "
+                              "not to a path profile")
         mac = _load_mac(_require(cfg, "mac"))
         path = _value(cfg, "path", MonotonePath.parse)
         prof = path_rates(mac, path)
@@ -290,8 +297,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     h = _config_hash(cfg)
     trials = _value(cfg, "trials", int, 1000)
     chunk = _value(cfg, "chunk", int, 2048)
-    if trials < 1 or chunk < 1 or args.threads < 1:
-        raise ConfigError("trials, chunk and --threads must be positive")
+    if trials < 1 or chunk < 1:
+        raise ConfigError("trials and chunk must be positive")
     spec = _build_from_config(cfg)
     errors, n = simulate(spec, trials, seed=args.seed, chunk=chunk,
                          threads=args.threads)
@@ -326,15 +333,19 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out-dir", default=".")
         sp.add_argument("--threads", type=int, default=1)
-        mode = sp.add_mutually_exclusive_group()
-        mode.add_argument("--exact", action="store_true")
-        mode.add_argument("--mc", action="store_true")
+        if name == "analyze":
+            mode = sp.add_mutually_exclusive_group()
+            mode.add_argument("--exact", action="store_true")
+            mode.add_argument("--mc", action="store_true")
         sp.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.threads < 1:
+        print("config error: --threads must be positive", file=sys.stderr)
+        return 2
     try:
         with open(args.config) as f:
             cfg = json.load(f)

@@ -515,33 +515,62 @@ def transmit(spec: CompoundCodeSpec, receiver: int, codewords, rng):
     return {"anchor": anchor, "parity": parity}
 
 
-# Trials whose erasures are drawn at once; a multiple of 8, so that the
-# bit-packed slices join into one packed array.
+# Trials whose erasures are drawn into one reused float64 buffer of
+# (_DRAW_TRIALS, blocks, N); it bounds a chunk's memory whatever its
+# size.  A multiple of 64, so that only a chunk's last slab is padded.
 _DRAW_TRIALS = 256
+
+
+def _skip_messages(bitgen, t: int, info_lengths):
+    """Advance a fresh Philox past ``t`` trials of message bits per user.
+
+    Encode-then-transmit drew them with ``integers(0, 2, (t, k),
+    dtype=int8)``, one call per user of ``k`` information bits.  That
+    takes one uint32 per 4 bits and never rejects; a call starts on a
+    fresh uint32, and the halves of each 64-bit output carry over from
+    one call to the next.  Returns ``bitgen``.
+    """
+    halves = sum(-(-t * k // 4) for k in info_lengths)
+    words = -(-halves // 2)
+    bitgen.advance(words // 4)  # 4 outputs per counter step
+    bitgen.random_raw(words % 4)
+    return bitgen
 
 
 def _simulate_chunk(spec: CompoundCodeSpec, plans, t: int, seed: int,
                     ci: int):
-    rng = np.random.Generator(np.random.Philox(key=[seed, ci]))
-    # The message bits do not change whether a trial fails.  They are
-    # drawn so that the erasures take the same part of the chunk's
-    # stream as in encode-then-transmit, which keeps the counts those
-    # of the reference chain.
-    for u in range(1, spec.num_users + 1):
-        rng.integers(0, 2, size=(t, len(spec.info_sets[u])), dtype=np.int8)
+    # The message bits do not change whether a trial fails, so they are
+    # not drawn: the stream is moved past them, and the erasures take the
+    # same part of it as in encode-then-transmit.
+    bitgen = _skip_messages(np.random.Philox(key=[seed, ci]), t,
+                            [len(spec.info_sets[u])
+                             for u in range(1, spec.num_users + 1)])
+    rng = np.random.Generator(bitgen)
     shape = (spec.schedule.total_blocks, spec.N)
+    draws = np.empty((min(t, _DRAW_TRIALS),) + shape)
+    # A slab of d trials is padded with unerased trials to n, a multiple
+    # of 64, and its 0/1 bytes are packed 8 rows of whole 64-bit words at
+    # a time: trial j goes to bit j // w of byte j % w of its w = n / 8.
+    slab = np.empty((-(-len(draws) // 64) * 64,) + shape, dtype=np.uint8)
+    packed = np.empty((-(-t // 64) * 8,) + shape, dtype=np.uint8)
     errors = []
     for rec, plan in zip(spec.receivers, plans):
         leaf_eps = rec.mac.leaf_eps(spec.N)
-        packed = np.concatenate([
-            np.packbits(rng.random((min(_DRAW_TRIALS, t - t0),) + shape)
-                        < leaf_eps, axis=0)
-            for t0 in range(0, t, _DRAW_TRIALS)
-        ])
-        # (N, blocks, bytes): each byte holds 8 trials
+        for t0 in range(0, t, _DRAW_TRIALS):
+            d = min(_DRAW_TRIALS, t - t0)
+            n = -(-d // 64) * 64
+            rng.random(out=draws[:d])
+            np.less(draws[:d], leaf_eps, out=slab[:d].view(bool))
+            slab[d:n] = 0
+            rows = slab[:n].reshape(8, -1).view(np.uint64)
+            out = packed[t0 // 8:(t0 + n) // 8].reshape(-1).view(np.uint64)
+            np.copyto(out, rows[0])
+            for k in range(1, 8):
+                out |= rows[k] << np.uint64(k)
+        # (N, blocks, words): each word holds 64 trials
         erased = np.ascontiguousarray(packed.transpose(2, 1, 0))
-        fail = plan.failed(bec_tree_erasures(erased))
-        count = int(np.unpackbits(fail).sum())
+        fail = plan.failed(bec_tree_erasures(erased.view(np.uint64)))
+        count = int(np.bitwise_count(fail).sum())
         errors.append({u: count for u in rec.decode_set})
     return errors
 
@@ -554,7 +583,8 @@ def simulate(spec: CompoundCodeSpec, trials: int, seed: int = 0,
     by (seed, chunk index), so the result is byte-identical under any
     parallel schedule.  Each trial draws every receiver's anchor erasure
     pattern, and each receiver's :class:`FailurePlan` says whether SC
-    decoding fails on it; the messages and codewords are not formed.
+    decoding fails on it; the messages are not drawn (the stream skips
+    them) and the codewords are not formed.
     Returns ``(errors, trials)``: ``errors[r][u]`` is receiver r's
     block-failure count, the trials in which some information bit of
     any user it decodes stayed erased, repeated for each such user u.

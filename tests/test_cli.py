@@ -23,6 +23,14 @@ BUILD_CFG = {
     "split_eps": 0.1,
 }
 
+# A valid config for each subcommand.
+COMMAND_CFGS = {
+    "analyze": {"channel": {"type": "bec", "epsilon": 0.5}, "n": 4},
+    "region": {"task": "mac", "channel": {"type": "bec", "epsilon": 0.25}},
+    "build": BUILD_CFG,
+    "simulate": dict(BUILD_CFG, trials=10),
+}
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -122,6 +130,45 @@ class TestExitCodes:
         assert main(["simulate", "--config", path, "--threads", threads,
                      "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", sorted(COMMAND_CFGS))
+    def test_nonpositive_threads_every_command(self, tmp_path, command,
+                                               threads):
+        path = write(tmp_path, "c.json", COMMAND_CFGS[command])
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--threads", threads,
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--exact", "--mc"])
+    @pytest.mark.parametrize("command", ["build", "region", "simulate"])
+    def test_mode_flags_only_on_analyze(self, tmp_path, command, flag):
+        path = write(tmp_path, "c.json", COMMAND_CFGS[command])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, flag,
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--exact", "--mc"])
+    def test_mode_flags_rejected_on_path_config(self, tmp_path, flag):
+        path = write(tmp_path, "c.json", {
+            "mac": {"type": "parity-linked", "users": 2, "eps_tile": [0.5]},
+            "path": "1^2 2^4 1^2",
+        })
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", path, flag,
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--exact", "--mc"])
+    def test_mode_flags_on_channel_config(self, tmp_path, flag):
+        path = write(tmp_path, "c.json", dict(COMMAND_CFGS["analyze"],
+                                              trials=100))
+        assert main(["analyze", "--config", path, flag,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "bit_channels.csv").exists()
 
     @pytest.mark.parametrize("command,cfg", [
         ("build", dict(BUILD_CFG, receivers=[

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import networkx as nx
@@ -9,6 +10,7 @@ from polarnet.alignment import decoding_dag
 from polarnet.chains import PreconditionError
 from polarnet.codec import (
     ReceiverSpec,
+    _skip_messages,
     build_code,
     encode,
     failure_plan,
@@ -299,6 +301,80 @@ class TestGoldenCounts:
         errors, n = simulate(specs[code], trials, seed=seed, chunk=chunk)
         assert n == trials
         assert errors == [{1: e, 2: e} for e in expected]
+
+
+def reference_counts(spec, trials, seed, chunk):
+    """simulate's counts by the draw chain it replaced: each chunk draws
+    its messages, then each receiver's erasures, packed by packbits."""
+    plans = [failure_plan(spec, r) for r in range(len(spec.receivers))]
+    counts = [0] * len(spec.receivers)
+    for ci, t0 in enumerate(range(0, trials, chunk)):
+        t = min(chunk, trials - t0)
+        rng = np.random.Generator(np.random.Philox(key=[seed, ci]))
+        for u in range(1, spec.num_users + 1):
+            rng.integers(0, 2, size=(t, len(spec.info_sets[u])),
+                         dtype=np.int8)
+        for r, rec in enumerate(spec.receivers):
+            erased = rng.random((t, spec.schedule.total_blocks, spec.N)) < (
+                rec.mac.leaf_eps(spec.N))
+            packed = np.packbits(erased, axis=0).transpose(2, 1, 0)
+            fail = plans[r].failed(bec_tree_erasures(packed))
+            counts[r] += int(np.unpackbits(fail).sum())
+    return counts
+
+
+def noisier(spec, factor):
+    """The same code on channels whose erasure probabilities are scaled."""
+    return dataclasses.replace(spec, receivers=[
+        ReceiverSpec(ParityLinkedErasureMAC(
+            rec.mac.num_users,
+            tuple(min(1.0, e * factor) for e in rec.mac.eps_tile)),
+            rec.decode_set)
+        for rec in spec.receivers])
+
+
+class TestDrawChain:
+    """simulate skips the message draws and packs trials its own way; its
+    counts stay those of the chain that drew every message."""
+
+    @pytest.mark.parametrize("lengths", [
+        (0,), (1,), (3532,), (5, 0), (0, 0), (52, 90), (3, 8, 13),
+        (880, 0, 517),
+    ])
+    @pytest.mark.parametrize("t", [1, 2, 5, 7, 8, 300, 2048])
+    def test_skip_matches_drawn_messages(self, t, lengths):
+        drawn = np.random.Philox(key=[7, 3])
+        rng = np.random.Generator(drawn)
+        for k in lengths:
+            rng.integers(0, 2, size=(t, k), dtype=np.int8)
+        skipped = _skip_messages(np.random.Philox(key=[7, 3]), t, lengths)
+        assert np.array_equal(skipped.random_raw(16), drawn.random_raw(16)), (
+            f"numpy {np.__version__} no longer takes ceil(n / 4) uint32 per "
+            "integers(0, 2, n, dtype=int8) call: codec._skip_messages must "
+            "follow its draw path, or simulate's counts change")
+
+    CODES = {
+        "shared-order": shared_order_code,
+        "mixed-decode-sets": mixed_code,
+        "shared-order-noisier": lambda: noisier(shared_order_code(), 1.5),
+        "mixed-decode-sets-noisier": lambda: noisier(mixed_code(), 1.5),
+    }
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        return {name: make() for name, make in self.CODES.items()}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 9, 255, 256, 257, 300])
+    @pytest.mark.parametrize("code", sorted(CODES))
+    def test_counts_match_reference_chain(self, specs, code, chunk):
+        spec = specs[code]
+        trials = 600
+        errors, _ = simulate(spec, trials, seed=13, chunk=chunk)
+        want = reference_counts(spec, trials, 13, chunk)
+        assert errors == [{u: c for u in rec.decode_set}
+                          for rec, c in zip(spec.receivers, want)]
+        if code.endswith("noisier"):
+            assert all(0 < c < trials for c in want)
 
 
 class TestTheorem:
