@@ -40,7 +40,6 @@ from .chains import (  # noqa: F401
     find_k_user_split,
     find_two_user_split,
     path_rates,
-    scale_path,
     sum_capacity,
     two_user_path,
 )
@@ -48,15 +47,12 @@ from .alignment import (  # noqa: F401
     AlignmentSchedule,
     CombinePair,
     ScheduleError,
-    align_decode,
-    align_encode,
     build_schedule,
     combined_eps,
     decode_runs,
     decoding_dag,
     decoding_order,
     incompatible_fraction,
-    pair_indices,
     validate_successive_decodability,
 )
 from .regions import (  # noqa: F401

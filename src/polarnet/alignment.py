@@ -6,6 +6,19 @@ the XOR variable is bad for both receivers (frozen) while the second
 variable becomes good for both.  Repeating over doubled structures
 shrinks the incompatible fraction geometrically.
 
+Level l copies blocks 0..2^(l-1)-1 onto blocks 2^(l-1)..2^l-1 and
+pairs the j-th surviving type-II slot ``(block, index)`` of the
+original blocks with the j-th surviving type-III slot of the copy, both
+in the aligned user's combined-sequence order; the copy repeats the
+pairs of earlier levels.  A user's combined sequence starts as indices
+1..N of block 0.  A level that aligns another user appends the copy's
+sequence; a level that aligns this user merges the two at each pair in
+turn: the original's entries before the type-II slot, the copy's before
+the type-III slot, then the pair's XOR in place of both.  A slot
+survives until it is paired, and only surviving slots can be paired, so
+``build_schedule`` keeps per user just its surviving incompatible slots and
+its pairs, in that order.
+
 Blocks are numbered 0..2^k-1; indices are the 1-based per-block bit
 positions.  Each receiver decodes the slots ``(block, slot)`` of its
 monotone path; the pairs add dependencies across blocks, and a
@@ -63,7 +76,6 @@ class AlignmentSchedule:
     levels: list[AlignmentLevel]
     base_incompatible: dict[int, int]    # user -> |II| + |III| in one block
     pairs: dict[int, tuple[CombinePair, ...]]  # user -> all its pairs
-    layouts: dict[int, list] | None = None  # user -> combined-sequence layout
 
     @property
     def total_blocks(self) -> int:
@@ -95,35 +107,17 @@ class AlignmentSchedule:
         }
 
 
-def pair_indices(type_II, type_III):
-    """Pair the j-th type-II index with the j-th type-III index.
-
-    Returns (pairs, leftover_II, leftover_III); exactly min(m, n) pairs.
-    """
-    return pair_indices_ordered(sorted(type_II), sorted(type_III))
-
-
-def pair_indices_ordered(type_II, type_III):
-    """As pair_indices, but the inputs are already in decoding order."""
-    a = list(type_II)
-    b = list(type_III)
-    q = min(len(a), len(b))
-    return list(zip(a[:q], b[:q])), a[q:], b[q:]
-
-
-def _shift_layout(layout, shift: int):
+def _on_copy(seq, shift: int):
+    """A combined sequence moved to the copy: blocks raised by ``shift``."""
     out = []
-    for e in layout:
-        if e[0] == RAW:
-            out.append((RAW, e[1] + shift, e[2]))
+    for e in seq:
+        if e[0] == "xor":
+            p = e[1]
+            out.append(("xor", CombinePair(p.block_a + shift, p.index_a,
+                                           p.block_b + shift, p.index_b)))
         else:
-            _, (ba, ia), (bb, ib) = e
-            out.append((XOR, (ba + shift, ia), (bb + shift, ib)))
+            out.append((e[0], e[1] + shift, e[2]))
     return out
-
-
-def _raw_entries(layout):
-    return [e for e in layout if e[0] == RAW]
 
 
 def build_schedule(classifications, k: int,
@@ -144,55 +138,44 @@ def build_schedule(classifications, k: int,
     if users != list(range(1, K + 1)):
         raise ScheduleError("classifications must cover users 1..K")
     N = blocklength
-    # per-user evolving combined-sequence layout plus surviving II/III sets
-    layout = {
-        u: [(RAW, 0, i) for i in range(1, N + 1)] for u in users
-    }
-    surv_II = {u: {(0, i) for i in classifications[u].type_II} for u in users}
-    surv_III = {u: {(0, i) for i in classifications[u].type_III} for u in users}
-    base = {
-        u: len(classifications[u].type_II) + len(classifications[u].type_III)
-        for u in users
-    }
+    # Per user, its combined sequence cut down to what later levels can
+    # still touch: the surviving slots ("II" or "III", block, index) and
+    # one ("xor", pair) per pair made so far, in combined-sequence order.
+    seq = {}
+    for u in users:
+        II, III = classifications[u].type_II, classifications[u].type_III
+        seq[u] = [("II" if i in II else "III", 0, i) for i in sorted(II | III)]
+    base = {u: len(seq[u]) for u in users}
     levels = []
     for lvl in range(1, k + 1):
         user = users[(lvl - 1) % K]
         half = 1 << (lvl - 1)
-        # duplicate the structure: blocks half..2*half-1 copy 0..half-1
-        copies = {u: _shift_layout(layout[u], half) for u in users}
+        # blocks half..2*half-1 copy 0..half-1
         for u in users:
-            surv_II[u] |= {(b + half, i) for b, i in surv_II[u]}
-            surv_III[u] |= {(b + half, i) for b, i in surv_III[u]}
-        # pairing lists in combined-sequence order: the j-th surviving
-        # type-II entry of the original group against the j-th surviving
-        # type-III entry of the copy
-        a_II = [
-            (b, i) for (kind, b, i) in _raw_entries(layout[user])
-            if (b, i) in surv_II[user]
-        ]
-        b_III = [
-            (b, i) for (kind, b, i) in _raw_entries(copies[user])
-            if (b, i) in surv_III[user]
-        ]
-        paired, left_II, left_III = pair_indices_ordered(a_II, b_III)
-        pairs = [
-            CombinePair(ba, ia, bb, ib) for (ba, ia), (bb, ib) in paired
-        ]
-        for (ba, ia), (bb, ib) in paired:
-            surv_II[user].discard((ba, ia))
-            surv_III[user].discard((bb, ib))
-        for u in users:
-            if u == user:
-                layout[u] = _interleave(layout[u], copies[u], pairs)
-            else:
-                layout[u] = layout[u] + copies[u]
-        after = {
-            u: len(surv_II[u]) + len(surv_III[u]) for u in users
-        }
-        levels.append(AlignmentLevel(user, pairs, left_II, left_III, after))
-    pairs = {u: tuple(CombinePair(*e[1], *e[2]) for e in layout[u] if e[0] == XOR)
-             for u in users}
-    schedule = AlignmentSchedule(K, N, levels, base, pairs, layouts=layout)
+            if u != user:
+                seq[u] += _on_copy(seq[u], half)
+        # the j-th surviving type-II slot of the original blocks pairs
+        # with the j-th surviving type-III slot of the copy; the merged
+        # sequence puts the pair's XOR where both slots were
+        a, b = seq[user], _on_copy(seq[user], half)
+        at_II = [j for j, e in enumerate(a) if e[0] == "II"]
+        at_III = [j for j, e in enumerate(b) if e[0] == "III"]
+        pairs = [CombinePair(*a[x][1:], *b[y][1:])
+                 for x, y in zip(at_II, at_III)]
+        merged, x0, y0 = [], 0, 0
+        for x, y, p in zip(at_II, at_III, pairs):
+            merged += a[x0:x]
+            merged += b[y0:y]
+            merged.append(("xor", p))
+            x0, y0 = x + 1, y + 1
+        seq[user] = merged + a[x0:] + b[y0:]
+        q = len(pairs)
+        after = {u: sum(e[0] != "xor" for e in seq[u]) for u in users}
+        levels.append(AlignmentLevel(user, pairs,
+                                     [a[x][1:] for x in at_II[q:]],
+                                     [b[y][1:] for y in at_III[q:]], after))
+    pairs = {u: tuple(e[1] for e in seq[u] if e[0] == "xor") for u in users}
+    schedule = AlignmentSchedule(K, N, levels, base, pairs)
     validate_successive_decodability(schedule, _concatenation_path(K, N))
     return schedule
 
@@ -354,80 +337,6 @@ def incompatible_fraction(schedule: AlignmentSchedule, user: int):
         blocks = 1 << lvl_idx
         out.append(Fraction(lvl.incompatible_after[user], blocks * N))
     return out
-
-
-# -- combined-sequence encoding -----------------------------------------
-
-RAW = "raw"
-XOR = "xor"
-
-
-def combined_layout(schedule: AlignmentSchedule, user: int):
-    """Descriptor list of one user's combined sequence over all blocks.
-
-    Entries are ("raw", block, index) or ("xor", (block_a, index_a),
-    (block_b, index_b)); an xor entry is immediately followed by the raw
-    entry of its promoted variable.
-    """
-    if schedule.layouts is None or user not in schedule.layouts:
-        raise ScheduleError("schedule carries no layout for this user")
-    return schedule.layouts[user]
-
-
-def _interleave(a_lay, b_lay, pairs):
-    out = []
-    ai = bi = 0
-    for p in pairs:
-        ta = (RAW, p.block_a, p.index_a)
-        tb = (RAW, p.block_b, p.index_b)
-        while a_lay[ai] != ta:
-            out.append(a_lay[ai])
-            ai += 1
-        while b_lay[bi] != tb:
-            out.append(b_lay[bi])
-            bi += 1
-        out.append((XOR, (p.block_a, p.index_a), (p.block_b, p.index_b)))
-        out.append(tb)
-        ai += 1
-        bi += 1
-    out.extend(a_lay[ai:])
-    out.extend(b_lay[bi:])
-    return out
-
-
-def align_encode(u_blocks, schedule: AlignmentSchedule, user: int = 1):
-    """Map per-block bit sequences to the combined sequence of one user."""
-    N = schedule.blocklength
-    if len(u_blocks) != schedule.total_blocks or any(
-        len(blk) != N for blk in u_blocks
-    ):
-        raise ValueError("block shape does not match schedule")
-    out = []
-    for e in combined_layout(schedule, user):
-        if e[0] == RAW:
-            out.append(int(u_blocks[e[1]][e[2] - 1]))
-        else:
-            _, (ba, ia), (bb, ib) = e
-            out.append(int(u_blocks[ba][ia - 1]) ^ int(u_blocks[bb][ib - 1]))
-    return out
-
-
-def align_decode(combined, schedule: AlignmentSchedule, user: int = 1):
-    """Inverse of align_encode."""
-    N = schedule.blocklength
-    layout = combined_layout(schedule, user)
-    if len(combined) != len(layout):
-        raise ValueError("combined sequence length mismatch")
-    blocks = [[None] * N for _ in range(schedule.total_blocks)]
-    xors = []
-    for val, e in zip(combined, layout):
-        if e[0] == RAW:
-            blocks[e[1]][e[2] - 1] = int(val)
-        else:
-            xors.append((int(val), e[1], e[2]))
-    for val, (ba, ia), (bb, ib) in xors:
-        blocks[ba][ia - 1] = val ^ blocks[bb][ib - 1]
-    return blocks
 
 
 def combined_eps(schedule: AlignmentSchedule, user: int, base_eps):

@@ -73,17 +73,13 @@ class MonotonePath:
         return cls(tuple(seq), num_users or max(seq))
 
     def scaled(self, factor: int) -> "MonotonePath":
+        """Multiply every run length by a power-of-two factor."""
         if factor < 1 or factor & (factor - 1):
             raise ValueError("scale factor must be a power of two")
         seq = []
         for u, r in self.runs():
             seq.extend([u] * (r * factor))
         return MonotonePath(tuple(seq), self.num_users)
-
-
-def scale_path(path: MonotonePath, factor: int) -> MonotonePath:
-    """Multiply every run length by a power-of-two factor."""
-    return path.scaled(factor)
 
 
 def two_user_path(i: int, N: int) -> MonotonePath:

@@ -15,10 +15,11 @@ region it describes, stamped and encoded once.
 Every subcommand takes ``--threads`` (only ``simulate`` runs threads);
 only ``analyze`` takes ``--exact``/``--mc``, and only on a channel config.
 
-Exit codes: 0 success, 2 configuration error (among them an ``analyze``
+Exit codes: 0 success, 2 configuration error (among them a config that
+is not a JSON object, a field of the wrong type, an ``analyze``
 ``"mode"`` other than ``"auto"``, ``"exact"`` or ``"mc"``, ``--exact`` or
-``--mc`` on a path config, and ``--threads`` below 1), 3 precondition
-error.
+``--mc`` on a path config, ``--threads`` below 1 and ``--seed`` outside
+[0, 2^64)), 3 precondition error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .alignment import ScheduleError
@@ -96,8 +99,27 @@ def _value(cfg: dict, key: str, kind, default=None):
     value = _require(cfg, key) if default is None else cfg.get(key, default)
     try:
         return kind(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from e
+
+
+def _list(cfg: dict, key: str) -> list:
+    value = _require(cfg, key)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _symbol_map(table) -> np.ndarray:
+    """One Han-Kobayashi symbol map: a nonempty 2-D table of symbols."""
+    try:
+        m = np.array(table, dtype=int)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad symbol map {table!r}") from e
+    if m.ndim != 2 or not m.size or m.min() < 0:
+        raise ConfigError(f"a symbol map must be a nonempty 2-D table of "
+                          f"nonnegative symbols, got {table!r}")
+    return m
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -111,7 +133,7 @@ def _load_channel(obj):
         if obj.get("type") == "erasure":
             return ErasureChannel(float(obj["epsilon"]))
         return DiscreteChannel.from_json(obj)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"bad channel description: {e}") from e
 
 
@@ -120,7 +142,7 @@ def _load_mac(obj):
         try:
             return ParityLinkedErasureMAC(int(obj["users"]),
                                           _floats(obj["eps_tile"]))
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise ConfigError(f"bad parity-linked MAC: {e}") from e
     return _load_channel(obj)
 
@@ -208,18 +230,20 @@ def cmd_region(cfg: dict, args) -> int:
         payload = {"task": task, "region": region.to_dict()}
     elif task == "intersect":
         regions = []
-        for entry in _require(cfg, "channels"):
+        for entry in _list(cfg, "channels"):
             ch = _load_channel(entry)
             p = _load_distribution(cfg.get("p"), ch.input_arities)
             regions.append(mac_region(ch, p, cfg.get("decode_set")))
         payload = {"task": task, "region": intersect(regions).to_dict()}
     elif task == "hk":
         ch = _load_channel(_require(cfg, "channel"))
-        maps = _require(cfg, "maps")
+        maps = [_symbol_map(m) for m in _list(cfg, "maps")]
         arities = _value(cfg, "output_arities",
                          lambda v: tuple(int(a) for a in v))
-        dims = (len(maps[0]), len(maps[0][0]), len(maps[1]), len(maps[1][0]))
-        p = _load_distribution(cfg.get("p"), dims)
+        if len(maps) != 2 or len(arities) != 2 or min(arities) < 1:
+            raise ConfigError("hk needs two symbol maps and two positive "
+                              "output arities")
+        p = _load_distribution(cfg.get("p"), maps[0].shape + maps[1].shape)
         region = hk_region(ch, p, maps, arities)
         payload = {"task": task, "region": region.to_dict()}
     elif task == "superposition":
@@ -253,7 +277,7 @@ def cmd_region(cfg: dict, args) -> int:
 
 def _build_from_config(cfg: dict):
     receivers = []
-    for entry in _require(cfg, "receivers"):
+    for entry in _list(cfg, "receivers"):
         try:
             mac = ParityLinkedErasureMAC(len(entry["decode_set"]),
                                          _floats(entry["eps_tile"]))
@@ -346,11 +370,17 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("config error: --threads must be positive", file=sys.stderr)
         return 2
+    if not 0 <= args.seed < 2**64:
+        print("config error: --seed must be in [0, 2^64)", file=sys.stderr)
+        return 2
     try:
         with open(args.config) as f:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    if not isinstance(cfg, dict):
+        print("config error: the config must be a JSON object", file=sys.stderr)
         return 2
     try:
         return args.fn(cfg, args)

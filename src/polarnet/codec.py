@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,12 @@ class CompoundCodeSpec:
     def orders(self) -> list[list[tuple[int, int]]]:
         """Per receiver, the decode order one ``(block, slot)`` at a time."""
         return [expand_runs(r) for r in self.runs]
+
+    @cached_property
+    def failure_plans(self) -> list["FailurePlan"]:
+        """Per receiver, its :class:`FailurePlan`, compiled on first use
+        (the first :func:`simulate` call) and kept with the spec."""
+        return [failure_plan(self, r) for r in range(len(self.receivers))]
 
     @property
     def M(self) -> int:
@@ -598,7 +605,7 @@ def simulate(spec: CompoundCodeSpec, trials: int, seed: int = 0,
         t = min(chunk, trials - done)
         sizes.append(t)
         done += t
-    plans = [failure_plan(spec, r) for r in range(len(spec.receivers))]
+    plans = spec.failure_plans
     errors = [{u: 0 for u in rec.decode_set} for rec in spec.receivers]
     if threads > 1 and len(sizes) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import networkx as nx
@@ -15,7 +16,6 @@ from polarnet.alignment import (
     decoding_dag,
     decoding_order,
     incompatible_fraction,
-    pair_indices,
     raw_schedule,
     validate_successive_decodability,
 )
@@ -32,29 +32,7 @@ def make_classification(II, III, N=8):
     )
 
 
-class TestPairing:
-    def test_pairing_counts(self):
-        pairs, lII, lIII = pair_indices({1, 4, 6}, {2, 7})
-        assert len(pairs) == 2
-        assert lII == [6] and lIII == []
-
-    def test_empty_sets(self):
-        pairs, lII, lIII = pair_indices(set(), set())
-        assert pairs == [] and lII == [] and lIII == []
-
-
 class TestSchedule:
-    def test_round_trip_bijection(self):
-        from polarnet.alignment import align_decode, align_encode
-
-        s = build_schedule({1: make_classification({3}, {6})}, 3,
-                           blocklength=8)
-        rng = random.Random(1)
-        for _ in range(20):
-            blocks = [[rng.randint(0, 1) for _ in range(8)]
-                      for _ in range(s.total_blocks)]
-            assert align_decode(align_encode(blocks, s, 1), s, 1) == blocks
-
     def test_duplicated_pairs_counted(self):
         s = build_schedule({1: make_classification({3}, {6})}, 3,
                            blocklength=8)
@@ -166,12 +144,59 @@ class TestPairsForUser:
         assert len(s.pairs_for_user(2)) == 1
         assert s.pairs_for_user(3) == ()
 
-    def test_built_pairs_follow_the_layout(self):
-        s = build_schedule({1: make_classification({3}, {6})}, 3,
-                           blocklength=8)
-        xor = [e for e in s.layouts[1] if e[0] == "xor"]
-        assert [((p.block_a, p.index_a), (p.block_b, p.index_b))
-                for p in s.pairs_for_user(1)] == [e[1:] for e in xor]
+
+def _random_classification(rng, N):
+    """Disjoint random type-II/III sets of unequal size in 1..N."""
+    while True:
+        idx = list(range(1, N + 1))
+        rng.shuffle(idx)
+        m, n = rng.randint(0, N // 2), rng.randint(0, N // 2)
+        if m != n:
+            break
+    II, III = frozenset(idx[:m]), frozenset(idx[m:m + n])
+    return IndexClassification(good_y=II, bad_y=III, good_z=III, bad_z=II)
+
+
+class TestScheduleDigests:
+    """sha256 digests of 200 seeded schedules (K in {2, 3}, N <= 32,
+    k <= 5, so one user is realigned up to three times), recorded before
+    ``build_schedule`` kept only the surviving incompatible slots."""
+
+    def test_digests(self):
+        rng = random.Random(11)
+        d = {name: hashlib.sha256()
+             for name in ("to_dict", "incompatible_after", "pairs", "decode")}
+        for _ in range(200):
+            K, N = rng.choice((2, 3)), rng.choice((4, 8, 16, 32))
+            k = rng.randint(0, 5)
+            cls = {u: _random_classification(rng, N) for u in range(1, K + 1)}
+            s = build_schedule(cls, k, N)
+            # a random receiver order: its runs or its dependency cycle
+            seq = [u for u in range(1, K + 1) for _ in range(N)]
+            rng.shuffle(seq)
+            try:
+                out = decode_runs(s, MonotonePath(tuple(seq), K))
+            except ScheduleError as e:
+                out = (str(e), e.cycle)
+            d["to_dict"].update(
+                json.dumps(s.to_dict(), sort_keys=True).encode())
+            d["incompatible_after"].update(repr(
+                [sorted(lvl.incompatible_after.items())
+                 for lvl in s.levels]).encode())
+            d["pairs"].update(repr(
+                [[tuple(vars(p).values()) for p in s.pairs_for_user(u)]
+                 for u in range(1, K + 1)]).encode())
+            d["decode"].update(repr(out).encode())
+        assert {name: h.hexdigest() for name, h in d.items()} == {
+            "to_dict":
+                "808e25480d6f1c80692512cc80551b02629a43dbff0bc3ae2a3fd040d3a0186d",
+            "incompatible_after":
+                "2e92910f04899cc882a5babb8bf6c8640659470fc373e70d9f845a6d8caaeb70",
+            "pairs":
+                "9054e9d0ffa6da764a54fb2a79354066830a5721914ebb0d39cd730f3fac0b69",
+            "decode":
+                "687d94434e42d64d7944ae17a7bc4888115eb5d4218d0006dfbab496d98c377a",
+        }
 
 
 @st.composite

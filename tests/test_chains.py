@@ -14,7 +14,6 @@ from polarnet.chains import (
     find_two_user_split,
     make_evaluator,
     path_rates,
-    scale_path,
     sum_capacity,
     two_user_path,
 )
@@ -39,7 +38,7 @@ class TestMonotonePath:
 
     def test_scaling(self):
         p = two_user_path(1, 4)
-        q = scale_path(p, 2)
+        q = p.scaled(2)
         assert q.blocklength == 8
         assert q.serialize() == "1^2 2^8 1^6"
 

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarnet.cli import main, wilson_interval
 
@@ -30,6 +35,35 @@ COMMAND_CFGS = {
     "build": BUILD_CFG,
     "simulate": dict(BUILD_CFG, trials=10),
 }
+
+ADDER2 = {"inputs": [2, 2], "outputs": 3,
+          "kernel": [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]}
+BSC_MAC = {"inputs": [2, 2], "outputs": 2,
+           "kernel": [[0.9, 0.1], [0.1, 0.9], [0.1, 0.9], [0.9, 0.1]]}
+HK_IC = {"inputs": [2, 2], "outputs": 6,
+         "kernel": [[1 if y == (x1 + x2) * 2 + x2 else 0 for y in range(6)]
+                    for x1 in range(2) for x2 in range(2)]}
+# Valid configs the contract test mutates: every task of every command,
+# all small (N <= 64, k <= 3, trials <= 256).
+CONTRACT_BASES = [
+    ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": 4}),
+    ("analyze", {"channel": BSC_MAC, "n": 3, "mode": "mc", "trials": 256}),
+    ("analyze", {"mac": {"type": "parity-linked", "users": 2,
+                         "eps_tile": [0.5]}, "path": "1^2 2^4 1^2"}),
+    ("analyze", {"mac": ADDER2, "path": "1^2 2^2"}),
+    ("region", {"task": "mac", "channel": ADDER2}),
+    ("region", {"task": "intersect", "channels": [ADDER2, BSC_MAC]}),
+    ("region", {"task": "hk", "channel": HK_IC,
+                "maps": [[[0, 1], [1, 0]], [[0, 1], [1, 0]]],
+                "output_arities": [3, 2]}),
+    ("region", {"task": "superposition", "channel_y1": BSC_MAC,
+                "channel_y2": BSC_MAC, "p": [[0.5, 0.5], [0.7, 0.3]]}),
+    ("region", {"task": "strong-interference", "channel_y": BSC_MAC,
+                "channel_z": BSC_MAC, "grid_resolution": 3}),
+    ("build", BUILD_CFG),
+    ("build", dict(BUILD_CFG, N=16, k=3, delta_good=0.9, delta_bad=0.1)),
+    ("simulate", dict(BUILD_CFG, N=32, k=2, trials=256, chunk=100)),
+]
 
 
 class TestExitCodes:
@@ -141,6 +175,15 @@ class TestExitCodes:
                      "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", sorted(COMMAND_CFGS))
+    def test_seed_out_of_range_every_command(self, tmp_path, command, seed):
+        path = write(tmp_path, "c.json", COMMAND_CFGS[command])
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--seed", seed,
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--exact", "--mc"])
     @pytest.mark.parametrize("command", ["build", "region", "simulate"])
     def test_mode_flags_only_on_analyze(self, tmp_path, command, flag):
@@ -187,9 +230,21 @@ class TestExitCodes:
                      "mode": "bogus"}),
         ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": 3,
                      "mode": 7}),
+        ("analyze", None),
+        ("build", dict(BUILD_CFG, receivers=True)),
+        ("analyze", {"mac": ADDER2, "path": None}),
+        ("analyze", {"channel": {"type": "bec", "epsilon": 0.5},
+                     "n": math.inf}),
+        ("analyze", {"channel": dict(BSC_MAC, outputs=-math.inf), "n": 3}),
+        ("region", {"task": "intersect", "channels": False}),
+        ("region", dict(CONTRACT_BASES[6][1], maps=[None, [[0, 1]]])),
+        ("region", dict(CONTRACT_BASES[6][1], output_arities=[3, 2, 1])),
     ], ids=["tile-length-3", "no-decode-set", "N-not-a-number",
             "trials-not-a-number", "mac-without-eps-tile", "negative-n",
-            "no-mc-trials", "unknown-mode", "mode-not-a-string"])
+            "no-mc-trials", "unknown-mode", "mode-not-a-string",
+            "config-not-an-object", "receivers-not-a-list",
+            "path-not-a-string", "n-infinite", "outputs-infinite",
+            "channels-not-a-list", "map-not-a-table", "three-output-arities"])
     def test_bad_config_values(self, tmp_path, command, cfg):
         path = write(tmp_path, "c.json", cfg)
         out = tmp_path / "out"
@@ -204,6 +259,76 @@ class TestExitCodes:
         text = (tmp_path / "bit_channels.csv").read_text()
         assert text.splitlines()[0].endswith("config_hash,version")
         assert len(text.splitlines()) == 17
+
+
+# Every number is small, so no draw asks for a large code or campaign.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([0.5, -0.5, 1.5, 2.0, 1e-12, math.nan, math.inf,
+                     -math.inf]),
+    st.sampled_from(["", "x", "2", "-1", "nan", "inf", "auto", "exact", "mc",
+                     "mac", "hk", "bec", "erasure", "parity-linked", "1^4",
+                     "1^2 2^2", "2^x", "0^3"]),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "epsilon", "users"]),
+                    st.integers(-1, 3), max_size=2),
+)
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` with some of its entries dropped, replaced or added."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    if isinstance(value, dict) and value:
+        out = dict(value)
+        for key in draw(st.lists(st.sampled_from(sorted(out)), max_size=3,
+                                 unique=True)):
+            action = draw(st.sampled_from(["drop", "junk", "deeper"]))
+            if action == "drop":
+                del out[key]
+            else:
+                out[key] = draw(JUNK if action == "junk" else mutated(out[key]))
+        return out
+    if isinstance(value, list) and value:
+        out = list(value)
+        j = draw(st.integers(0, len(out) - 1))
+        action = draw(st.sampled_from(["drop", "junk", "deeper", "append"]))
+        if action == "drop":
+            del out[j]
+        elif action == "append":
+            out.append(draw(JUNK))
+        else:
+            out[j] = draw(JUNK if action == "junk" else mutated(out[j]))
+        return out
+    return draw(JUNK) if draw(st.booleans()) else value
+
+
+@st.composite
+def malformed_runs(draw):
+    command, base = draw(st.sampled_from(CONTRACT_BASES))
+    argv = [command, "--seed", str(draw(st.integers(-1, 3)))]
+    if command == "analyze":
+        argv += draw(st.sampled_from([[], ["--exact"], ["--mc"]]))
+    return argv, draw(mutated(base))
+
+
+class TestExitCodeContract:
+    """Whatever the config, the CLI exits 0, 2 or 3 and raises nothing."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(malformed_runs())
+    def test_malformed_configs(self, run):
+        argv, cfg = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w") as f:
+                json.dump(cfg, f)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main(argv + ["--config", path,
+                                  "--out-dir", os.path.join(tmp, "out")])
+        assert rc in (0, 2, 3)
 
 
 class TestOutputs:

@@ -5,6 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from polarnet import codec
 from polarnet.alignment import decoding_dag
 
 from polarnet.chains import PreconditionError
@@ -135,6 +136,20 @@ class TestDecode:
         a = simulate(spec, trials=200, seed=3, chunk=64)
         b = simulate(spec, trials=200, seed=3, chunk=64, threads=4)
         assert a == b
+
+    def test_simulate_compiles_plans_once(self, monkeypatch):
+        spec = two_user_compound(N=32, k=1)
+        calls = []
+
+        def counted(spec, receiver):
+            calls.append(receiver)
+            return failure_plan(spec, receiver)
+
+        monkeypatch.setattr(codec, "failure_plan", counted)
+        first = simulate(spec, trials=200, seed=3, chunk=64)
+        assert calls == [0, 1]
+        assert simulate(spec, trials=200, seed=3, chunk=64) == first
+        assert calls == [0, 1]
 
     @pytest.mark.parametrize("trials,chunk", [(10, 0), (10, -5), (0, 64), (-1, 64)])
     def test_simulate_rejects_nonpositive_sizes(self, trials, chunk):
