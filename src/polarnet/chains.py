@@ -15,7 +15,12 @@ import numpy as np
 
 from .channels import DiscreteChannel, KernelSizeError, UnsupportedChannelError
 from .erasure import ParityLinkedErasureMAC, two_user_adder_equivalent
-from .exact import Adder3Evaluator, BruteForceEvaluator, ParityLinkedEvaluator
+from .exact import (
+    ADDER3_MAX_BITS,
+    Adder3Evaluator,
+    BruteForceEvaluator,
+    ParityLinkedEvaluator,
+)
 
 
 class PreconditionError(ValueError):
@@ -96,7 +101,7 @@ def make_evaluator(mac, N: int):
         K = mac.num_senders
         if K == 2 and _is_adder(mac, 2):
             return ParityLinkedEvaluator(two_user_adder_equivalent(), N)
-        if K == 3 and _is_adder(mac, 3) and 2 * N <= 20:
+        if K == 3 and _is_adder(mac, 3) and 2 * N <= ADDER3_MAX_BITS:
             return Adder3Evaluator(N)
         return BruteForceEvaluator(mac, N)
     raise UnsupportedChannelError(f"no evaluator for {type(mac).__name__}")
@@ -131,63 +136,94 @@ def path_rates(mac, path: MonotonePath, evaluator=None) -> PathRateProfile:
     """
     N = path.blocklength
     K = path.num_users
-    if not isinstance(mac, ParityLinkedErasureMAC):
-        if isinstance(evaluator, ParityLinkedEvaluator):
-            mac = evaluator.mac
-        elif (evaluator is None and isinstance(mac, DiscreteChannel)
-              and _is_adder(mac, 2)):
-            mac = two_user_adder_equivalent()   # as make_evaluator picks
-    if isinstance(mac, ParityLinkedErasureMAC):
-        if K != mac.num_users:
-            raise PreconditionError(
-                f"path has {K} users, the MAC has {mac.num_users}")
-        if N < 1 or N & (N - 1):
-            raise PreconditionError(
-                f"path blocklength {N} is not a power of two")
-        if N % len(mac.eps_tile):
-            raise PreconditionError(
-                f"path blocklength {N} is not a multiple of the erasure "
-                f"tile length {len(mac.eps_tile)}")
-        mi = mac.path_mi_profile(np.asarray(path.user_sequence))
+    if N & (N - 1):
+        raise PreconditionError(f"path blocklength {N} is not a power of two")
+    if isinstance(mac, ParityLinkedErasureMAC) and N % len(mac.eps_tile):
+        raise PreconditionError(
+            f"path blocklength {N} is not a multiple of the erasure "
+            f"tile length {len(mac.eps_tile)}")
+    ev = evaluator or make_evaluator(mac, N)
+    if K != ev.K:
+        raise PreconditionError(f"path has {K} users, the MAC has {ev.K}")
+    if isinstance(ev, ParityLinkedEvaluator):
+        mi = ev.mac.path_mi_profile(np.asarray(path.user_sequence))
         mode = "exact-erasure"
     else:
-        ev = evaluator or make_evaluator(mac, N)
-        if K != ev.K:
-            raise PreconditionError(f"path has {K} users, the MAC has {ev.K}")
-        lens = [0] * K
-        prev = ev.cond_entropy(lens)
-        mi = np.empty(K * N)
-        for i, u in enumerate(path.user_sequence):
-            lens[u - 1] += 1
-            cur = ev.cond_entropy(lens)
-            mi[i] = 1.0 - (cur - prev)
-            prev = cur
+        mi = _path_mi(ev, path)
         mode = "exact-enumeration"
-    rates = np.zeros(K)
+    return PathRateProfile(tuple(float(v) for v in mi),
+                           _user_rates(path, mi), mode)
+
+
+def _path_mi(ev, path: MonotonePath) -> np.ndarray:
+    """I(S_i; Y^N | S^{i-1}) along the path, one chain-rule step each."""
+    lens = [0] * ev.K
+    prev = ev.cond_entropy(lens)
+    mi = np.empty(len(path.user_sequence))
     for i, u in enumerate(path.user_sequence):
-        rates[u - 1] += mi[i]
-    rates /= N
-    return PathRateProfile(tuple(float(v) for v in mi), tuple(float(r) for r in rates), mode)
+        lens[u - 1] += 1
+        cur = ev.cond_entropy(lens)
+        mi[i] = 1.0 - (cur - prev)
+        prev = cur
+    return mi
+
+
+def _user_rates(path: MonotonePath, mi: np.ndarray) -> tuple[float, ...]:
+    """Per-user rates: each user's MIs summed in path order, over N."""
+    # bincount adds the weights in order, as a running sum per user would
+    rates = np.bincount(np.asarray(path.user_sequence) - 1, weights=mi,
+                        minlength=path.num_users) / path.blocklength
+    return tuple(float(r) for r in rates)
+
+
+def _sum_rate(ev) -> float:
+    """(1/N) I(all inputs; Y^N) per channel use at the evaluator's N."""
+    return ev.K - ev.cond_entropy((ev.N,) * ev.K) / ev.N
 
 
 def sum_capacity(mac, N: int = 4, evaluator=None) -> float:
     """(1/N) I(all inputs; Y^N) per channel use."""
     if isinstance(mac, ParityLinkedErasureMAC):
         return mac.sum_capacity()
-    ev = evaluator or make_evaluator(mac, N)
-    full = (ev.N,) * ev.K
-    return ev.K - ev.cond_entropy(full) / ev.N
+    return _sum_rate(evaluator or make_evaluator(mac, N))
 
 
-def _two_user_rate_curves(ev, N: int):
-    """R_1(i), R_2(i) for the split path, all i at once."""
-    # R_2(i) = (1/N) I(V^N; Y, U^i); R_1 = sum rate - R_2
-    h_u = ev.sweep_entropies((0, 0), 1)          # H(U^i | Y)
-    h_uv = ev.sweep_entropies((0, N), 1)         # H(U^i, V^N | Y)
-    r2 = (N - (h_uv - h_u)) / N
-    srate = ev.K - ev.cond_entropy((N, N)) / N
-    r1 = srate - r2
-    return r1, r2, srate
+def _search(mac, target, eps: float, N_min: int, N_max: int, solve):
+    """Double N from N_min to N_max until a split lands within eps.
+
+    ``solve(ev, target, sum_rate)`` returns a split at the evaluator's N
+    and its largest rate gap.  Blocklengths past the evaluators' reach
+    end the search, and the NotFoundError names the first one.
+    """
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
+    target = tuple(float(t) for t in target)
+    best_gap = None
+    limit = ""
+    N = N_min
+    while N <= N_max:
+        try:
+            ev = make_evaluator(mac, N)
+        except KernelSizeError as e:
+            limit = f"; no evaluator at N={N}: {e}"
+            break
+        srate = _sum_rate(ev)
+        if abs(srate - sum(target)) > eps / 2:
+            raise PreconditionError(
+                f"target sum {sum(target):.6f} differs from sum capacity "
+                f"{srate:.6f} by more than eps/2"
+            )
+        result, gap = solve(ev, target, srate)
+        if best_gap is None or gap < best_gap:
+            best_gap = gap
+        if gap < eps:
+            return result
+        N *= 2
+    if best_gap is None:
+        raise NotFoundError("no evaluator available for any blocklength" + limit)
+    raise NotFoundError(
+        f"no split within eps={eps} up to N={N // 2}{limit}", best_gap=best_gap
+    )
 
 
 def find_two_user_split(mac, target, eps: float, N_max: int,
@@ -197,29 +233,18 @@ def find_two_user_split(mac, target, eps: float, N_max: int,
     Sweeps i upward; the first rate moves by at most 1/N per step, so a
     fine enough blocklength always lands within eps of the target.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    target = tuple(float(t) for t in target)
-    best_gap = None
-    N = N_min
-    while N <= N_max:
-        ev = make_evaluator(mac, N)
-        r1, r2, srate = _two_user_rate_curves(ev, N)
-        if abs(sum(target) - srate) > eps / 2:
-            raise PreconditionError(
-                f"target sum {sum(target):.6f} differs from sum capacity "
-                f"{srate:.6f} by more than eps/2"
-            )
-        gaps = np.maximum(np.abs(r1 - target[0]), np.abs(r2 - target[1]))
+    def solve(ev, target, srate):
+        # R_2(i) = (1/N) I(V^N; Y, U^i); R_1 = sum rate - R_2
+        N = ev.N
+        h_u = ev.sweep_entropies((0, 0), 1)          # H(U^i | Y)
+        h_uv = ev.sweep_entropies((0, N), 1)         # H(U^i, V^N | Y)
+        r2 = (N - (h_uv - h_u)) / N
+        gaps = np.maximum(np.abs(srate - r2 - target[0]),
+                          np.abs(r2 - target[1]))
         i = int(np.argmin(gaps))
-        gap = float(gaps[i])
-        best_gap = gap if best_gap is None else min(best_gap, gap)
-        if gap < eps:
-            return two_user_path(i, N)
-        N *= 2
-    raise NotFoundError(
-        f"no split within eps={eps} up to N_max={N_max}", best_gap=best_gap
-    )
+        return two_user_path(i, N), float(gaps[i])
+
+    return _search(mac, target, eps, N_min, N_max, solve)
 
 
 @dataclass
@@ -258,44 +283,17 @@ def find_k_user_split(mac, target, eps: float, N_max: int,
     the pieces.  Ties among simultaneously tight subsets are broken by
     smallest cardinality, then lexicographically.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    target = tuple(float(t) for t in target)
-    K = len(target)
-    best = None
-    limit = ""
-    N = N_min
-    while N <= N_max:
-        try:
-            ev = make_evaluator(mac, N)
-        except KernelSizeError as e:
-            limit = f"; no evaluator at N={N}: {e}"
-            break
-        srate = ev.K - ev.cond_entropy((N,) * K) / N
-        slack = srate - sum(target)
-        if abs(slack) > eps / 2:
-            raise PreconditionError(
-                f"target sum {sum(target):.6f} differs from sum capacity "
-                f"{srate:.6f} by more than eps/2"
-            )
+    def solve(ev, target, srate):
         # project small dominance slack onto the face via user 1
+        slack = srate - sum(target)
         work_target = list(target)
-        projected = slack > 1e-12
         work_target[0] += max(slack, 0.0)
         result = _solve_split(ev, work_target)
         result.targets = target
-        result.projected = projected
-        if best is None or result.max_gap < best.max_gap:
-            best = result
-        if result.max_gap < eps:
-            return result
-        N *= 2
-    if best is None:
-        raise NotFoundError("no evaluator available for any blocklength" + limit)
-    raise NotFoundError(
-        f"no split within eps={eps} up to N={N // 2}{limit}",
-        best_gap=best.max_gap,
-    )
+        result.projected = slack > 1e-12
+        return result, result.max_gap
+
+    return _search(mac, target, eps, N_min, N_max, solve)
 
 
 def _solve_split(ev, targets_in) -> KUserSplit:
@@ -370,14 +368,5 @@ def _solve_split(ev, targets_in) -> KUserSplit:
 
     solve(sorted(remaining))
     path = MonotonePath(tuple(seq), K)
-    mi_prev = ev.cond_entropy([0] * K)
-    lens = [0] * K
-    rates = np.zeros(K)
-    for u in path.user_sequence:
-        lens[u - 1] += 1
-        cur = ev.cond_entropy(lens)
-        rates[u - 1] += 1.0 - (cur - mi_prev)
-        mi_prev = cur
-    rates /= N
-    return KUserSplit(path, tuple(float(r) for r in rates),
+    return KUserSplit(path, _user_rates(path, _path_mi(ev, path)),
                       tuple(targets_in), decisions)

@@ -68,10 +68,6 @@ from .regions import (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -80,7 +76,7 @@ def _config_hash(cfg: dict) -> str:
 def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
-        raise ConfigError("trials must be positive")
+        raise ConfigurationError("trials must be positive")
     p = errors / trials
     den = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / den
@@ -90,7 +86,7 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054):
 
 def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise ConfigError(f"config is missing required field {key!r}")
+        raise ConfigurationError(f"config is missing required field {key!r}")
     return cfg[key]
 
 
@@ -100,13 +96,13 @@ def _value(cfg: dict, key: str, kind, default=None):
     try:
         return kind(value)
     except (TypeError, ValueError, AttributeError, OverflowError) as e:
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from e
+        raise ConfigurationError(f"bad value for {key!r}: {value!r}") from e
 
 
 def _list(cfg: dict, key: str) -> list:
     value = _require(cfg, key)
     if not isinstance(value, list):
-        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+        raise ConfigurationError(f"{key!r} must be a list, got {value!r}")
     return value
 
 
@@ -115,10 +111,10 @@ def _symbol_map(table) -> np.ndarray:
     try:
         m = np.array(table, dtype=int)
     except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"bad symbol map {table!r}") from e
+        raise ConfigurationError(f"bad symbol map {table!r}") from e
     if m.ndim != 2 or not m.size or m.min() < 0:
-        raise ConfigError(f"a symbol map must be a nonempty 2-D table of "
-                          f"nonnegative symbols, got {table!r}")
+        raise ConfigurationError(f"a symbol map must be a nonempty 2-D table "
+                                 f"of nonnegative symbols, got {table!r}")
     return m
 
 
@@ -128,13 +124,13 @@ def _floats(values) -> tuple[float, ...]:
 
 def _load_channel(obj):
     if not isinstance(obj, dict):
-        raise ConfigError("channel description must be an object")
+        raise ConfigurationError("channel description must be an object")
     try:
         if obj.get("type") == "erasure":
             return ErasureChannel(float(obj["epsilon"]))
         return DiscreteChannel.from_json(obj)
     except (KeyError, ValueError, TypeError, OverflowError) as e:
-        raise ConfigError(f"bad channel description: {e}") from e
+        raise ConfigurationError(f"bad channel description: {e}") from e
 
 
 def _load_mac(obj):
@@ -143,7 +139,7 @@ def _load_mac(obj):
             return ParityLinkedErasureMAC(int(obj["users"]),
                                           _floats(obj["eps_tile"]))
         except (KeyError, ValueError, TypeError, OverflowError) as e:
-            raise ConfigError(f"bad parity-linked MAC: {e}") from e
+            raise ConfigurationError(f"bad parity-linked MAC: {e}") from e
     return _load_channel(obj)
 
 
@@ -153,7 +149,7 @@ def _load_distribution(obj, arities):
     try:
         return InputDistribution.product([list(map(float, m)) for m in obj])
     except (ValueError, TypeError) as e:
-        raise ConfigError(f"bad input distribution: {e}") from e
+        raise ConfigurationError(f"bad input distribution: {e}") from e
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -186,15 +182,15 @@ def cmd_analyze(cfg: dict, args) -> int:
     h = _config_hash(cfg)
     mode = cfg.get("mode", "auto")
     if mode not in ("auto", "exact", "mc"):
-        raise ConfigError(f"unknown mode {mode!r}")
+        raise ConfigurationError(f"unknown mode {mode!r}")
     if args.mc:
         mode = "mc"
     if args.exact:
         mode = "exact"
     if "path" in cfg:
         if args.mc or args.exact:
-            raise ConfigError("--exact and --mc apply to a channel config, "
-                              "not to a path profile")
+            raise ConfigurationError("--exact and --mc apply to a channel "
+                                     "config, not to a path profile")
         mac = _load_mac(_require(cfg, "mac"))
         path = _value(cfg, "path", MonotonePath.parse)
         prof = path_rates(mac, path)
@@ -209,7 +205,7 @@ def cmd_analyze(cfg: dict, args) -> int:
         ch = _load_channel(_require(cfg, "channel"))
         n = _value(cfg, "n", int)
         if n < 0:
-            raise ConfigError(f"n must be non-negative, got {n}")
+            raise ConfigurationError(f"n must be non-negative, got {n}")
         est = EstimatorConfig(
             trials=_value(cfg, "trials", int, 10_000), seed=args.seed
         )
@@ -241,8 +237,8 @@ def cmd_region(cfg: dict, args) -> int:
         arities = _value(cfg, "output_arities",
                          lambda v: tuple(int(a) for a in v))
         if len(maps) != 2 or len(arities) != 2 or min(arities) < 1:
-            raise ConfigError("hk needs two symbol maps and two positive "
-                              "output arities")
+            raise ConfigurationError("hk needs two symbol maps and two "
+                                     "positive output arities")
         p = _load_distribution(cfg.get("p"), maps[0].shape + maps[1].shape)
         region = hk_region(ch, p, maps, arities)
         payload = {"task": task, "region": region.to_dict()}
@@ -262,7 +258,7 @@ def cmd_region(cfg: dict, args) -> int:
         payload = {"task": task, "holds": holds, "witness": witness,
                    "status": label}
     else:
-        raise ConfigError(f"unknown region task {task!r}")
+        raise ConfigurationError(f"unknown region task {task!r}")
     out = _write(args.out_dir, "region.json", _json_doc(payload, h))
     # vertex CSV for plotting
     verts = payload.get("region", {}).get("vertices")
@@ -283,7 +279,7 @@ def _build_from_config(cfg: dict):
                                          _floats(entry["eps_tile"]))
             receivers.append(ReceiverSpec(mac, tuple(entry["decode_set"])))
         except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad receiver {entry!r}: {e}") from e
+            raise ConfigurationError(f"bad receiver {entry!r}: {e}") from e
     target = _value(cfg, "target", _floats)
     N = _value(cfg, "N", int)
     k = _value(cfg, "k", int)
@@ -298,7 +294,7 @@ def _build_from_config(cfg: dict):
             split_eps=split_eps,
         )
     except (KeyError, TypeError) as e:
-        raise ConfigError(f"bad build config: {e}") from e
+        raise ConfigurationError(f"bad build config: {e}") from e
 
 
 def cmd_build(cfg: dict, args) -> int:
@@ -322,7 +318,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     trials = _value(cfg, "trials", int, 1000)
     chunk = _value(cfg, "chunk", int, 2048)
     if trials < 1 or chunk < 1:
-        raise ConfigError("trials and chunk must be positive")
+        raise ConfigurationError("trials and chunk must be positive")
     spec = _build_from_config(cfg)
     errors, n = simulate(spec, trials, seed=args.seed, chunk=chunk,
                          threads=args.threads)
@@ -384,7 +380,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(cfg, args)
-    except (ConfigError, ConfigurationError) as e:
+    except ConfigurationError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (PreconditionError, NotFoundError, RegionError, DimensionError,

@@ -71,30 +71,35 @@ def _transform_table(N: int) -> np.ndarray:
     return (tbits.astype(np.uint64) << np.arange(N, dtype=np.uint64)).sum(axis=1)
 
 
-def _prefix_field(transformed: np.ndarray, N: int, a: int) -> np.ndarray:
-    """First a coordinates of each transformed vector, packed MSB-first.
+def _reversal_table(N: int) -> np.ndarray:
+    """rev[v] = v's N bits in reverse order, coordinate 1 in the high bit.
 
     Packing coordinate 1 into the high bit makes every prefix a prefix
     of the packed integer, so one sort serves all prefix lengths.
     """
-    if a == 0:
-        return np.zeros_like(transformed)
-    rev = np.zeros_like(transformed)
+    vals = np.arange(1 << N, dtype=np.uint32)
+    rev = np.zeros_like(vals)
     for k in range(N):
-        rev |= ((transformed >> np.uint64(k)) & np.uint64(1)) << np.uint64(N - 1 - k)
-    return rev >> np.uint64(N - a)
+        rev |= ((vals >> np.uint32(k)) & np.uint32(1)) << np.uint32(N - 1 - k)
+    return rev
+
+
+# Input bits an evaluator enumerates at most: BruteForceEvaluator holds
+# 2^(K N) keys, Adder3Evaluator 2^(2 N).
+BRUTE_FORCE_MAX_BITS = 24
+ADDER3_MAX_BITS = 20
 
 
 class BruteForceEvaluator:
     """Exact entropies for a K-user binary-input deterministic-output MAC."""
 
-    def __init__(self, mac: DiscreteChannel, N: int, max_bits: int = 24):
+    def __init__(self, mac: DiscreteChannel, N: int):
         K = mac.num_senders
         if mac.input_arities != (2,) * K:
             raise UnsupportedChannelError("binary sender inputs required")
         if N & (N - 1):
             raise KernelSizeError("blocklength must be a power of two")
-        if K * N > max_bits:
+        if K * N > BRUTE_FORCE_MAX_BITS:
             raise KernelSizeError(f"{K}*{N} input bits exceed the enumeration cap")
         onehot = np.isclose(mac.kernel.max(axis=1), 1.0)
         if not onehot.all():
@@ -118,9 +123,8 @@ class BruteForceEvaluator:
             y_idx = y_idx * ny + ymap[joint.astype(np.int64)].astype(np.uint64)
         self._y = y_idx
         # prefix fields packed MSB-first per user
-        self._pref = [
-            _prefix_field(f, N, N).astype(np.uint32) for f in u_fields
-        ]
+        rev = _reversal_table(N)
+        self._pref = [rev[f.astype(np.uint32)] for f in u_fields]
         del u_fields, x_fields
         self._scratch = _Scratch(M)
         self._h_y = self._scratch.entropy(np.sort(y_idx))
@@ -178,10 +182,10 @@ class Adder3Evaluator:
 
     K = 3
 
-    def __init__(self, N: int, max_bits: int = 20):
+    def __init__(self, N: int):
         if N & (N - 1):
             raise KernelSizeError("blocklength must be a power of two")
-        if 2 * N > max_bits:
+        if 2 * N > ADDER3_MAX_BITS:
             raise KernelSizeError("blocklength too large for enumeration")
         self.N = N
         tab = _transform_table(N)
@@ -190,12 +194,8 @@ class Adder3Evaluator:
         full = np.uint32((1 << N) - 1)
         pattern = (~(b | c)) & full  # positions where all senders agree
         self._y = pattern
-        t1 = tab[c]
-        t2 = tab[b ^ c]
-        t3 = tab[b]
-        self._pref = [
-            _prefix_field(t, N, N).astype(np.uint32) for t in (t1, t2, t3)
-        ]
+        rev = _reversal_table(N)[tab]
+        self._pref = [rev[c], rev[b ^ c], rev[b]]
         self._scratch = _Scratch(1 << (2 * N))
         self._h_y = self._scratch.entropy(np.sort(self._y))
 

@@ -200,32 +200,24 @@ class IndexClassification:
         return self.bad_y & self.bad_z
 
 
-def classify(stats_y, stats_z, delta_good: float = 0.99, delta_bad: float = 0.01):
-    """Threshold the two stat lists into the four compatibility sets."""
-    if len(stats_y) != len(stats_z):
-        raise ValueError("stat lists must have equal length")
+def classify(mi_y, mi_z, delta_good: float = 0.99, delta_bad: float = 0.01):
+    """Threshold two per-index MI vectors into the four compatibility sets.
+
+    Entry i of each vector is the MI of index i + 1.
+    """
+    if len(mi_y) != len(mi_z):
+        raise ValueError("MI vectors must have equal length")
     if not 0 < delta_bad <= delta_good < 1:
         raise ConfigurationError("need 0 < delta_bad <= delta_good < 1")
+    mi_y = np.asarray(mi_y, dtype=float)
+    mi_z = np.asarray(mi_z, dtype=float)
 
-    def mi(s):
-        return s.mi if isinstance(s, BitChannelStat) else float(s)
+    def indices(mask):
+        return frozenset((np.flatnonzero(mask) + 1).tolist())
 
-    def idx(s, i):
-        return s.index if isinstance(s, BitChannelStat) else i + 1
-
-    gy, by, gz, bz = set(), set(), set(), set()
-    for i, (sy, sz) in enumerate(zip(stats_y, stats_z)):
-        iy = idx(sy, i)
-        if mi(sy) > delta_good:
-            gy.add(iy)
-        elif mi(sy) < delta_bad:
-            by.add(iy)
-        if mi(sz) > delta_good:
-            gz.add(iy)
-        elif mi(sz) < delta_bad:
-            bz.add(iy)
     return IndexClassification(
-        frozenset(gy), frozenset(by), frozenset(gz), frozenset(bz),
+        indices(mi_y > delta_good), indices(mi_y < delta_bad),
+        indices(mi_z > delta_good), indices(mi_z < delta_bad),
         (delta_good, delta_bad),
     )
 

@@ -120,7 +120,7 @@ class TestCriterion4ThreeUserRecursion:
         # enumeration oracle at the same blocklength
         N = results[0].path.blocklength
         assert N <= 16
-        bf = BruteForceEvaluator(adder3, N, max_bits=24)
+        bf = BruteForceEvaluator(adder3, N)
         cache = {}
 
         def h(prefix):

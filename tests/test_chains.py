@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import os
 import pathlib
 import subprocess
@@ -24,6 +26,8 @@ from polarnet.exact import Adder3Evaluator, BruteForceEvaluator
 
 
 ADDER2 = DiscreteChannel.binary_adder(2)
+ADDER3 = DiscreteChannel.binary_adder(3)
+OR_MAC = DiscreteChannel.from_function((2, 2), lambda a, b: a | b)
 
 
 class TestMonotonePath:
@@ -85,6 +89,17 @@ class TestTwoUserSplit:
     def test_unreachable_eps_raises_with_gap(self):
         with pytest.raises(NotFoundError) as ei:
             find_two_user_split(ADDER2, (0.75, 0.75), 1e-9, 8)
+        assert ei.value.best_gap is not None
+
+    def test_search_limit_is_reported(self):
+        # brute force enumerates at most 24 input bits, so N = 16 is out
+        # of reach for a 2-user MAC: the error names the largest N tried
+        target = path_rates(OR_MAC, two_user_path(3, 8)).rate_tuple
+        with pytest.raises(NotFoundError) as ei:
+            find_two_user_split(OR_MAC, (target[0] + 0.03, target[1] - 0.03),
+                                1e-6, N_max=16)
+        msg = str(ei.value)
+        assert "up to N=8;" in msg and "N=16" in msg
         assert ei.value.best_gap is not None
 
 
@@ -162,3 +177,84 @@ class TestEnumerationEvaluators:
                 [sys.executable, "-c", code], env=env, check=True,
                 capture_output=True, text=True).stdout.strip())
         assert len(digests) == 1
+
+
+def _outcome(run):
+    """What a split search returns, or the type and best gap of its error."""
+    try:
+        res = run()
+    except (NotFoundError, PreconditionError) as e:
+        return type(e).__name__, getattr(e, "best_gap", None)
+    if isinstance(res, MonotonePath):
+        return res.serialize()
+    return (res.path.serialize(), res.rates, res.targets, res.projected,
+            [tuple(vars(d).values()) for d in res.decisions])
+
+
+class TestChainDigests:
+    """sha256 digests of split searches, rate profiles and evaluator
+    queries, recorded before both split finders shared one search loop.
+    Error messages are left out: only types and best gaps are pinned."""
+
+    def test_digests(self):
+        rng = np.random.default_rng(12)
+        d = {name: hashlib.sha256() for name in
+             ("adder3", "parity-linked", "two-user", "path_rates", "evaluators")}
+
+        def put(name, value):
+            d[name].update(repr(value).encode())
+
+        corners = np.array([
+            path_rates(ADDER3, MonotonePath(p, 3)).rate_tuple
+            for p in itertools.permutations((1, 2, 3))])
+        for j in range(20):
+            target = tuple(rng.dirichlet(np.ones(6)) @ corners)
+            eps = (0.25, 0.1, 0.02)[j % 3]
+            put("adder3", _outcome(lambda: find_k_user_split(
+                ADDER3, target, eps, 8, N_min=8)))
+        for tile in ((0.0, 1.0), (0.3, 0.6)):
+            mac = ParityLinkedErasureMAC(3, tile)
+            face = np.ones((3, 3)) - np.eye(3) * mac.mean_eps
+            for eps in (0.1, 0.03, 0.005):
+                target = tuple(rng.dirichlet(np.ones(3)) @ face)
+                put("parity-linked", _outcome(lambda: find_k_user_split(
+                    mac, target, eps, 32)))
+        for mac, N_max in ((ADDER2, 64), (ParityLinkedErasureMAC(2, (0.0, 0.5)), 64),
+                           (OR_MAC, 8)):
+            lo = path_rates(mac, two_user_path(0, 8)).rate_tuple
+            hi = path_rates(mac, two_user_path(8, 8)).rate_tuple
+            for eps in (0.1, 0.03, 0.01, 1e-6):
+                a = rng.uniform()
+                target = tuple(a * x + (1 - a) * y for x, y in zip(lo, hi))
+                put("two-user", _outcome(lambda: find_two_user_split(
+                    mac, target, eps, N_max)))
+            put("two-user", _outcome(lambda: find_two_user_split(
+                mac, (0.3, 0.3), 0.05, N_max)))
+        for mac, N, ev in ((ADDER2, 8, None),
+                           (ParityLinkedErasureMAC(2, (0.0, 0.5)), 16, None),
+                           (OR_MAC, 8, None),
+                           (ADDER2, 8, BruteForceEvaluator(ADDER2, 8))):
+            for i in (0, 3, N):
+                prof = path_rates(mac, two_user_path(i, N), evaluator=ev)
+                put("path_rates", (prof.per_index_mi, prof.rate_tuple, prof.mode))
+        for _ in range(3):
+            seq = tuple(int(u) for u in rng.permutation([1, 2, 3] * 4))
+            prof = path_rates(ADDER3, MonotonePath(seq, 3))
+            put("path_rates", (prof.per_index_mi, prof.rate_tuple, prof.mode))
+        for ev in (BruteForceEvaluator(ADDER2, 8), BruteForceEvaluator(ADDER3, 4),
+                   Adder3Evaluator(4)):
+            for lens in rng.integers(0, ev.N + 1, size=(12, ev.K)).tolist():
+                put("evaluators", (ev.cond_entropy(lens),
+                                   ev.sweep_entropies(lens, 1 + lens[0] % ev.K).tolist()))
+        assert {name: h.hexdigest() for name, h in d.items()} == {
+            "adder3":
+                "a9928b54f81acdd1269a98c21c15caaaeb53168b334486b744975f0b42bb0b7b",
+            "parity-linked":
+                "7a8a343519c246269151a68d65fb8ce831eb5ee72c3a52d5012c4045c329dd4c",
+            "two-user":
+                "c354008de1af35d6a2f87b22b069c644a1efd197551431e45a8bcbbb33cceeb9",
+            "path_rates":
+                "0d024267a2907f4d5d0d2847b0d294558d2f76614678bae69bdf6ebf2fe81262",
+            "evaluators":
+                "3ac80fea32c396f8fdc626e78fcbccfce124eb45987461f7ed69ddfa3d877969",
+        }
