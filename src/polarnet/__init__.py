@@ -51,7 +51,6 @@ from .alignment import (  # noqa: F401
     combined_eps,
     decode_runs,
     decoding_dag,
-    decoding_order,
     incompatible_fraction,
     validate_successive_decodability,
 )

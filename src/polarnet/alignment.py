@@ -288,12 +288,6 @@ def decode_runs(schedule: AlignmentSchedule, path: MonotonePath,
     return runs
 
 
-def decoding_order(schedule: AlignmentSchedule, path: MonotonePath,
-                   decode_set=None) -> list[tuple[int, int]]:
-    """The order of :func:`decode_runs`, one ``(block, slot)`` per node."""
-    return expand_runs(decode_runs(schedule, path, decode_set))
-
-
 def expand_runs(runs) -> list[tuple[int, int]]:
     """The ``(block, slot)`` nodes of ``(block, start, stop)`` runs, in order."""
     return [(b, s) for b, start, stop in runs for s in range(start, stop)]
@@ -357,14 +351,6 @@ def combined_eps(schedule: AlignmentSchedule, user: int, base_eps):
     eps[ba, ia] = minus_eps(ea, eb)
     eps[bb, ib] = plus_eps(ea, eb)
     return eps
-
-
-def dag_to_dot(g) -> str:
-    lines = ["digraph decoding {"]
-    for a, b in g.edges:
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def raw_schedule(num_users: int, blocklength: int, level_specs,

@@ -23,6 +23,7 @@ behind ``code_spec.json``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,7 +34,6 @@ from .alignment import (
     build_schedule,
     combined_eps,
     decode_runs,
-    expand_runs,
 )
 from .chains import (
     MonotonePath,
@@ -84,11 +84,6 @@ class CompoundCodeSpec:
                                             # as (block, start, stop) runs of
                                             # slots start..stop-1 of a block
     shortfall: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def orders(self) -> list[list[tuple[int, int]]]:
-        """Per receiver, the decode order one ``(block, slot)`` at a time."""
-        return [expand_runs(r) for r in self.runs]
 
     @cached_property
     def failure_plans(self) -> list["FailurePlan"]:
@@ -189,8 +184,9 @@ def build_code(receivers, target, N: int, k: int,
                split_eps: float = 0.05) -> CompoundCodeSpec:
     """Construct the aligned compound code for a rate target.
 
-    ``receivers`` is a list of ReceiverSpec (L <= 2 for end-to-end
-    decoding); ``target`` gives one rate per global user.  Per receiver
+    ``receivers`` is a list of ReceiverSpec; indices are classified
+    across two receivers, so no user may be decoded by more than two of
+    them.  ``target`` gives one rate per global user.  Per receiver
     a monotone split path approximating the (coordinatewise dominated)
     per-receiver rates is found, indices are classified across the two
     receivers, combined over k alignment levels, and the jointly good
@@ -206,11 +202,14 @@ def build_code(receivers, target, N: int, k: int,
                 f"N={N} is not a multiple of the erasure tile length "
                 f"{len(r.mac.eps_tile)}")
     num_users = max(max(r.decode_set) for r in receivers)
-    covered = set()
-    for r in receivers:
-        covered |= set(r.decode_set)
-    if covered != set(range(1, num_users + 1)):
+    decoders = Counter(u for r in receivers for u in r.decode_set)
+    if set(decoders) != set(range(1, num_users + 1)):
         raise PreconditionError("every user must be decoded somewhere")
+    crowded = sorted(u for u, n in decoders.items() if n > 2)
+    if crowded:
+        raise PreconditionError(
+            f"users {crowded} are decoded by more than two receivers; "
+            "indices are classified across two")
     target = tuple(float(t) for t in target)
     if len(target) != num_users:
         raise PreconditionError("one target rate per user required")
@@ -223,7 +222,7 @@ def build_code(receivers, target, N: int, k: int,
         paths.append(path)
         stats.append(_per_user_stats(rec, path))
 
-    # classification per user across the (up to two) receivers that
+    # classification per user across the one or two receivers that
     # decode it; users seen by one receiver only have no incompatibility
     cls = {}
     for u in range(1, num_users + 1):

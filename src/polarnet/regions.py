@@ -12,17 +12,16 @@ arithmetic to :class:`fractions.Fraction` for dyadic cross-checks.
 ``RatePolytope.to_dict`` and ``Region2D.to_dict`` give a region as a
 JSON-ready document; ``to_json`` is that document, dumped.
 
-Redundancy removal is specified by a loop: rows are visited in order
-and a row goes when an LP over the rows still kept cannot push it past
-its bound plus the tolerance.  On systems of more than 4 rows per
-coordinate two certificates decide most rows before the loop runs,
-each clearing the loop's decision by a margin so that it holds whatever
-the loop removed before: a witness point, found by shooting rays from
-the Chebyshev centre, that violates one row and satisfies all others
-keeps that row; a bound over the witnessed rows alone, from one
-block-diagonal LP, drops a row.  The loop then solves an LP only for
-the rows left undecided.  Every LP goes through :func:`linprog`, which
-imports scipy on its first call.
+Redundancy removal is one loop: rows are visited in order and a row
+goes when an LP over the rows still kept cannot push it past its bound
+plus the tolerance.  Those LPs run on one HiGHS model of the system,
+each re-solved from the last basis after the tested row is freed and
+the objective changed; a dropped row stays free.  A warm answer is used
+only when it is optimal and clears the row's edge by ``MARGIN``, on a
+system inside ``COEFF_RANGE``; any other row is decided by a cold
+:func:`linprog` over the rows still kept, which imports scipy on its
+first call.  The warm model needs scipy's private HiGHS binding (tested
+with scipy 1.17.1 only); without it every row goes cold.
 """
 
 from __future__ import annotations
@@ -199,25 +198,18 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-# Certificates decide rows only in systems of more than this many rows
-# per dimension; on smaller ones their two extra solves cost more than
-# the per-row LPs they save.
-CERTIFY_ROWS_PER_DIM = 4
-# A certificate must clear a row's edge, bound + ``tol``, by this share
-# of max(1, |bound|): the loop's LP answers carry the solver's own 1e-7
-# feasibility tolerance, so a row that only touches the polytope, or
-# misses it by less than that, is left to the loop.
+# A warm answer must clear a row's edge, bound + ``tol``, by this share
+# of max(1, |bound|): LP answers carry the solver's own 1e-7 feasibility
+# tolerance, and a warm solve may settle on the other side of that
+# tolerance than a cold one, so a row that only touches the polytope,
+# or misses it by less than that, is left to a cold solve.
 MARGIN = 1e-6
-# Certificates need every nonzero coefficient within this factor of the
+# Warm solves need every nonzero coefficient within this factor of the
 # largest.  Below it the solver's 1e-7 optimality and 1e-9 matrix-entry
-# tolerances make the loop's LP answers depart from exact geometry (a
-# slope of 1e-8 towards an open direction reads as bounded), and only
-# the loop itself reproduces them.
+# tolerances make LP answers depart from exact geometry (a slope of
+# 1e-8 towards an open direction reads as bounded), and only cold
+# solves reproduce what a cold solve answers.
 COEFF_RANGE = 1e6
-# Chebyshev radii at or below this mean a flat or empty polytope.
-MIN_RADIUS = 1e-7
-# Half-width of the box that keeps the batch LP of (b) bounded.
-BOX = 1e6
 
 
 def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
@@ -228,9 +220,9 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
     side subject to the others cannot exceed its bound.  Rows are
     visited in order and each redundant one is dropped before the next
     is tested, so of two rows that imply each other the later survives.
-    :func:`_certify` decides most rows of a large system up front; the
-    verdicts it returns are the ones this loop would reach, and only the
-    undecided rows cost an LP each.
+    Each row is first solved on one warm model of the system (see
+    :class:`_WarmModel`); a cold :func:`linprog` over the rows still
+    kept decides it when that answer is not clear of the row's edge.
     """
     norm = []
     seen = set()
@@ -246,128 +238,78 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
             continue
         seen.add(key)
         norm.append((tuple(coeffs), bound, label))
+    if not norm:
+        return []
     A = np.array([[float(c) for c in r[0]] for r in norm])
     b = np.array([float(r[1]) for r in norm])
-    verdict = np.zeros(len(norm), dtype=int)
     sizes = np.abs(A[A != 0])
-    if (len(norm) > CERTIFY_ROWS_PER_DIM * dim
-            and sizes.min() * COEFF_RANGE >= sizes.max()):
-        verdict = _certify(A, b, nonneg, tol)
+    warm = None
+    if sizes.min() * COEFF_RANGE >= sizes.max():
+        try:
+            warm = _WarmModel(A, b, nonneg)
+        except ImportError:     # scipy without its private HiGHS binding
+            pass
     lim = (0, None) if nonneg else (None, None)
     kept = list(range(len(norm)))
     i = 0
     while i < len(kept):
         k = kept[i]
-        if verdict[k]:
-            redundant = verdict[k] < 0
+        edge = b[k] + tol
+        top = warm.maximize(k) if warm else None
+        if top is not None and abs(top - edge) > MARGIN * max(1.0, abs(b[k])):
+            redundant = top <= edge
         else:
             others = kept[:i] + kept[i + 1:]
             res = linprog(-A[k], A_ub=A[others] if others else None,
                           b_ub=b[others] if others else None,
                           bounds=[lim] * dim, method="highs")
-            redundant = res.status == 0 and -res.fun <= b[k] + tol
+            redundant = res.status == 0 and -res.fun <= edge
         if redundant:
             kept.pop(i)
         else:
+            if warm:
+                warm.restore(k, b[k])
             i += 1
     return [norm[k] for k in kept]
 
 
-def _certify(A, b, nonneg, tol):
-    """Verdicts the redundancy loop would reach: +1 keep, -1 drop, 0 unknown.
+class _WarmModel:
+    """One HiGHS model of ``A x <= b`` (and x >= 0 with ``nonneg``) whose
+    solves each start from the last basis.  It is built on scipy's
+    private HiGHS binding, present in scipy 1.17.1 (the only version
+    tested); constructing it raises ImportError where that is missing."""
 
-    (a) Irredundant rows, by witness.  From the Chebyshev centre of the
-    system, rays go along every row normal; a second round goes along
-    the normals of the rows still open, from the points 95 % of the way
-    from the centre to the first round's hits.  The point halfway
-    between a ray's first and second hit is a witness when it violates
-    the first-hit row by ``tol`` plus the margin and satisfies every
-    other row (and x >= 0 with ``nonneg``): an LP over any subset of the
-    others then exceeds the row's bound, so the loop keeps the row
-    whatever it removed before.  (Rows hit first together leave the
-    witness on both hyperplanes, violating neither.)  A flat or empty
-    polytope (radius <= MIN_RADIUS) gets no verdicts.
+    def __init__(self, A, b, nonneg):
+        from scipy.optimize._highspy import _core as highs
 
-    (b) Redundant rows, by bound.  One block-diagonal LP maximises each
-    open row over the witnessed rows alone, inside a box.  When the
-    box is slack (zero duals) and the maximum is the margin below the
-    row's bound + ``tol``, so is the LP over any superset of the
-    witnessed rows, which every set of "others" the loop meets is.
-    """
-    n, dim = A.shape
-    verdict = np.zeros(n, dtype=int)
-    G, h = A, b
-    if nonneg:
-        G = np.vstack([A, -np.eye(dim)])
-        h = np.concatenate([b, np.zeros(dim)])
-    norms = np.linalg.norm(G, axis=1)
-    # radius capped at 1, so that the LP stays bounded on open polytopes
-    cheb = linprog(np.r_[np.zeros(dim), -1.0],
-                   A_ub=np.hstack([G, norms[:, None]]), b_ub=h,
-                   bounds=[(None, None)] * dim + [(0, 1)], method="highs")
-    if cheb.status != 0 or cheb.x[-1] <= MIN_RADIUS:
-        return verdict
-    centre = cheb.x[:dim]
-    hits = _shoot(G, h, n, centre[None, :], A, verdict, tol)
-    open_ = np.flatnonzero(verdict == 0)
-    if len(open_) and len(hits):
-        near = centre + 0.95 * (hits - centre)
-        _shoot(G, h, n, near, A[open_], verdict, tol)
-    open_ = np.flatnonzero(verdict == 0)
-    sure = np.flatnonzero(verdict > 0)
-    if not len(open_) or not len(sure):
-        return verdict
-    from scipy.sparse import eye, kron
+        self.A, self.optimal = A, highs.HighsModelStatus.kOptimal
+        self.inf = inf = highs.kHighsInf
+        n, dim = A.shape
+        self.model = model = highs._Highs()
+        model.setOptionValue("output_flag", False)
+        model.addVars(dim, np.zeros(dim) if nonneg else np.full(dim, -inf),
+                      np.full(dim, inf))
+        row, col = np.nonzero(A)
+        starts = np.searchsorted(row, np.arange(n)).astype(np.int32)
+        model.addRows(n, np.full(n, -inf), b, len(row), starts,
+                      col.astype(np.int32), A[row, col])
+        self.cols = np.arange(dim, dtype=np.int32)
 
-    u = len(open_)
-    lo = 0.0 if nonneg else -BOX
-    res = linprog(-A[open_].ravel(), A_ub=kron(eye(u), A[sure], format="csr"),
-                  b_ub=np.tile(b[sure], u), bounds=[(lo, BOX)] * (u * dim),
-                  method="highs")
-    if res.status != 0:
-        return verdict
-    x = res.x.reshape(u, dim)
-    slack_box = (res.upper.marginals.reshape(u, dim) == 0).all(axis=1)
-    if not nonneg:
-        slack_box &= (res.lower.marginals.reshape(u, dim) == 0).all(axis=1)
-    top = np.einsum("ij,ij->i", A[open_], x)
-    edge = b[open_] + tol - MARGIN * np.maximum(1.0, np.abs(b[open_]))
-    verdict[open_[slack_box & (top <= edge)]] = -1
-    return verdict
+    def maximize(self, k):
+        """Free row k and maximize ``A[k] . x``; None unless optimal.
 
+        The row stays free, which is how a dropped row leaves the model.
+        """
+        self.model.changeRowBounds(k, -self.inf, self.inf)
+        self.model.changeColsCost(len(self.cols), self.cols, -self.A[k])
+        self.model.run()
+        if self.model.getModelStatus() != self.optimal:
+            return None
+        return -self.model.getInfo().objective_function_value
 
-def _shoot(G, h, n, origins, dirs, verdict, tol):
-    """Certify the rows that rays from interior points hit first.
-
-    Casts a ray from every origin along every direction, sets
-    ``verdict`` to +1 for each row (of the first ``n`` of G) that a ray
-    certifies, and returns the first-hit points of the rays that hit
-    anything.  Rays go in chunks of at most 2**16 ray-row pairs, so the
-    temporaries stay under a megabyte each.
-    """
-    O = np.repeat(origins, len(dirs), axis=0)
-    D = np.tile(dirs, (len(origins), 1))
-    step = max(1, (1 << 16) // len(h))
-    hits = []
-    for s in range(0, len(O), step):
-        o, d = O[s:s + step], D[s:s + step]
-        rate = d @ G.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(rate > 0, (h - o @ G.T) / rate, np.inf)
-        first = np.argmin(t, axis=1)
-        t1, t2 = np.partition(t, 1, axis=1)[:, :2].T
-        hit = np.isfinite(t1)
-        o, d, first, t1, t2 = o[hit], d[hit], first[hit], t1[hit], t2[hit]
-        hits.append(o + t1[:, None] * d)
-        tw = np.where(np.isfinite(t2), (t1 + t2) / 2, 2 * t1)
-        excess = (o + tw[:, None] * d) @ G.T - h
-        rays = np.arange(len(o))
-        viol = excess[rays, first]
-        excess[rays, first] = -np.inf
-        ok = (first < n) & (excess.max(axis=1, initial=-np.inf) <= 0)
-        ok &= viol >= tol + MARGIN * np.maximum(1.0, np.abs(h[first]))
-        verdict[first[ok]] = 1
-    return np.concatenate(hits)
+    def restore(self, k, bound):
+        """Put row k back as ``A[k] . x <= bound``."""
+        self.model.changeRowBounds(k, -self.inf, bound)
 
 
 # -- MAC regions ---------------------------------------------------------
@@ -636,23 +578,37 @@ def strong_interference_check(ch_y: DiscreteChannel, ch_z: DiscreteChannel,
     Both channels take senders (X, W); the test sweeps product
     distributions with grid_resolution levels per sender probability.
     Returns (holds, witness, "grid-verified"); the witness is the first
-    violating (p_x, p_w) or None.
+    violating (p_x, p_w) in row-major order, or None.
     """
     for ch in (ch_y, ch_z):
         if ch.num_senders != 2 or ch.input_arities != (2, 2):
             raise UnsupportedChannelError(
                 "strong-interference test needs two binary senders")
     grid = np.linspace(0.0, 1.0, grid_resolution)
-    for a in grid:
-        for b in grid:
-            p = InputDistribution.product([[1 - a, a], [1 - b, b]])
-            lhs1 = mutual_information(ch_y, p, [0], [1])
-            rhs1 = mutual_information(ch_z, p, [0], [1])
-            lhs2 = mutual_information(ch_z, p, [1], [0])
-            rhs2 = mutual_information(ch_y, p, [1], [0])
-            if lhs1 > rhs1 + 1e-9 or lhs2 > rhs2 + 1e-9:
-                return False, (float(a), float(b)), "grid-verified"
+    law = np.stack([1 - grid, grid], axis=1)
+    # per channel, the joint law of (X, W, Y) at every grid point (a, b)
+    jy, jz = (np.einsum("ax,bw,xwy->abxwy", law, law, ch.kernel_tensor)
+              for ch in (ch_y, ch_z))
+    bad = ((_grid_mi(jy, 2) > _grid_mi(jz, 2) + 1e-9)
+           | (_grid_mi(jz, 3) > _grid_mi(jy, 3) + 1e-9))
+    if bad.any():
+        a, b = np.unravel_index(np.argmax(bad), bad.shape)
+        return False, (float(grid[a]), float(grid[b])), "grid-verified"
     return True, None, "grid-verified"
+
+
+def _grid_mi(joint, sender):
+    """I(sender; output, other sender) in bits at every grid point of a
+    (G, G, 2, 2, |Y|) joint; ``sender`` is axis 2 (X) or 3 (W)."""
+
+    def H(axes):
+        drop = tuple({2, 3, 4} - set(axes))
+        p = joint.sum(axis=drop) if drop else joint
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0, p * np.log2(p), 0.0)
+        return -terms.reshape(p.shape[:2] + (-1,)).sum(axis=2)
+
+    return H((sender,)) + H((5 - sender, 4)) - H((2, 3, 4))
 
 
 # -- superposition coding ------------------------------------------------

@@ -11,10 +11,9 @@ from polarnet.alignment import (
     ScheduleError,
     build_schedule,
     combined_eps,
-    dag_to_dot,
     decode_runs,
     decoding_dag,
-    decoding_order,
+    expand_runs,
     incompatible_fraction,
     raw_schedule,
     validate_successive_decodability,
@@ -75,7 +74,7 @@ class TestDecodability:
             blocklength=8)
         path = MonotonePath.parse("1^8 2^8")
         validate_successive_decodability(s, path)
-        order = decoding_order(s, path)
+        order = expand_runs(decode_runs(s, path))
         g = decoding_dag(s, path)
         seen = set()
         for node in order:
@@ -89,12 +88,6 @@ class TestDecodability:
         with pytest.raises(ScheduleError) as ei:
             validate_successive_decodability(s, path)
         assert ei.value.cycle
-
-    def test_dot_export(self):
-        s = build_schedule({1: make_classification({3}, {6})}, 1,
-                           blocklength=8)
-        text = dag_to_dot(decoding_dag(s, MonotonePath((1,) * 8, 1)))
-        assert text.startswith("digraph") and "->" in text
 
 
 class TestCombinedEps:

@@ -87,6 +87,13 @@ class TestExitCodes:
         assert main(["build", "--config", path,
                      "--out-dir", str(tmp_path)]) == 3
 
+    def test_three_receivers_of_one_user(self, tmp_path):
+        cfg = dict(BUILD_CFG, receivers=BUILD_CFG["receivers"] + [
+            {"eps_tile": [0.25], "decode_set": [1, 2]}])
+        path = write(tmp_path, "c.json", cfg)
+        assert main(["build", "--config", path,
+                     "--out-dir", str(tmp_path)]) == 3
+
     @pytest.mark.parametrize("cfg", [
         dict(BUILD_CFG, N=0),
         dict(BUILD_CFG, N=2, k=0, receivers=[

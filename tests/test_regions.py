@@ -224,9 +224,8 @@ class TestHanKobayashi:
 
 
 def reference_remove_redundant(rows, dim, nonneg=False, tol=1e-9):
-    """The sequential one-LP-per-row loop that ``_remove_redundant``
-    must reproduce, kept as it was before rows were decided by
-    certificates."""
+    """The sequential loop that ``_remove_redundant`` must reproduce:
+    one cold LP per row over the rows still kept, with no warm model."""
     norm = []
     seen = set()
     for r in rows:
@@ -260,8 +259,8 @@ def reference_remove_redundant(rows, dim, nonneg=False, tol=1e-9):
 
 @st.composite
 def redundancy_systems(draw):
-    """Systems of more than 4 rows per coordinate, so that certificates
-    run: random facets around a point, then any of a box, a flat
+    """Systems of dim + 1 rows and up, since small systems take the warm
+    model too: random facets around a point, then any of a box, a flat
     direction (an equality), an open direction (no row bounds the last
     coordinate from above), exact and near-duplicate rows, nearly
     parallel rows, and a cut of depth near ``tol`` off a vertex."""
@@ -275,7 +274,7 @@ def redundancy_systems(draw):
         rows.append((tuple(float(c) for c in coeffs),
                      float(np.dot(coeffs, x0)) + slack))
 
-    for _ in range(draw(st.integers(4 * dim + 1, 4 * dim + 8))):
+    for _ in range(draw(st.integers(dim + 1, 4 * dim + 8))):
         coeffs = [draw(small) for _ in range(dim)]
         if shape == "open":
             coeffs[-1] = -abs(coeffs[-1])
@@ -322,9 +321,9 @@ def redundancy_systems(draw):
     return [rows[k] for k in order], dim, draw(st.booleans())
 
 
-# x1 <= 20 is irredundant only past x2 = 2e6, beyond the batch LP's box,
-# where x1 <= 1e-5 x2 no longer holds x1 under 20: without the test on
-# the box's duals the batch LP would drop it.
+# x1 <= 20 is irredundant only past x2 = 2e6, where x1 <= 1e-5 x2 no
+# longer holds x1 under 20: a row whose only witnesses lie far out must
+# still be kept.
 BEYOND_BOX = ([((1.0, -1e-5), 0.0), ((1.0, 0.0), 20.0), ((-1.0, 0.0), 1.0),
                ((0.0, -1.0), 0.0), ((-1.0, 0.0), 2.0), ((-1.0, 0.0), 3.0),
                ((0.0, -1.0), 1.0), ((0.0, -1.0), 2.0), ((-1.0, -1.0), 5.0)],
@@ -348,7 +347,7 @@ CORNER_CUT = ([((-1.019, 3.666), 4.2314444434444445), ((1.0, 0.0), 4.5),
               2, False)
 # Found by hypothesis.  Slopes of 1e-8 and 1e-13 towards the open third
 # coordinate: the solver reads (1, 1, 0) . x <= 0 as redundant, though
-# x1 + x2 grows without bound along them, so no certificate may decide
+# x1 + x2 grows without bound along them, so only cold solves may decide
 # this system.
 TINY_SLOPES = ([((0.0, 1.0, -1.0), 0.0), ((-1.0, 0.0, 0.0), 0.0),
                 ((0.0, 0.0, -1.0), 0.5), ((0.0, 0.0, -1.0), 1.0),
@@ -357,6 +356,26 @@ TINY_SLOPES = ([((0.0, 1.0, -1.0), 0.0), ((-1.0, 0.0, 0.0), 0.0),
                 ((0.0, -1.0, 0.0), 0.5), ((0.0, 0.0, -2.0), 0.5),
                 ((0.0, 1.0, 0.0), 0.5), ((0.0, 1.0, -1e-13), 0.0),
                 ((1.0, 0.0, -1e-08), 0.0)], 3, False)
+# Found by hypothesis with the warm model's margin test removed.  The
+# last row cuts the vertex (-0.5, 4, 0, -0.5) off at depth tol, so its
+# maximum over the others is its bound + tol to the last bit, and a warm
+# solve from another basis lands on the other side of that edge than
+# the cold loop.
+EDGE_CUT = ([((0.0, -1.0, 0.0, 0.0), 0.0), ((0.0, 0.0, -1.0, 0.0), 0.0),
+             ((-1.0, 0.0, 1.0, 1.0), 0.0), ((0.0, 0.0, 0.0, 1.0), 0.0),
+             ((0.0, 0.0, 0.0, -1.0), 0.5), ((0.0, -1.0, 1.0, -1.0), 0.0),
+             ((1.0, 0.0, 0.0, 0.0), 4.0), ((-1.0, 0.0, 0.0, 0.0), 4.0),
+             ((0.0, 1.0, 0.0, 0.0), 4.0), ((0.0, -1.0, 0.0, 0.0), 4.0),
+             ((0.0, 0.0, 1.0, 0.0), 4.0), ((0.0, 0.0, -1.0, 0.0), 4.0),
+             ((0.0, 0.0, 0.0, 1.0), 4.0), ((0.0, 0.0, 0.0, -1.0), 4.0),
+             ((-0.143, 0.143, 0.0, 0.0), 0.643499999)], 4, False)
+# Found by a random search with the coefficient-range gate removed.
+# x1 >= 0.5 and x1 <= 0.499999985 + 1e-8 x2 force x2 >= 1.5, so the
+# third row is redundant, and the cold loop finds its maximum -3.5.  A
+# warm solve stops near (0.5, -1.5), where x1 falls short of 0.5 by only
+# 3e-8, inside the solver's 1e-7 tolerance, and reads 2.5.
+THIN_WEDGE = ([((-1.0, 0.0), -0.5), ((1.0, -1e-08), 0.499999985),
+               ((-1.0, -2.0), -1.5), ((-2.0, -1.0), 0.5)], 2, False)
 
 
 class TestRemoveRedundant:
@@ -366,6 +385,8 @@ class TestRemoveRedundant:
     @example(OPEN_SYSTEM)
     @example(CORNER_CUT)
     @example(TINY_SLOPES)
+    @example(EDGE_CUT)
+    @example(THIN_WEDGE)
     def test_matches_sequential_loop(self, system):
         rows, dim, nonneg = system
         assert (outcome(_remove_redundant, rows, dim, nonneg)
