@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .channels import (  # noqa: F401
     DimensionError,
     DiscreteChannel,
-    ErasureChannel,
     InputDistribution,
     KernelSizeError,
     UnsupportedChannelError,

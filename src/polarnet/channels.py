@@ -142,10 +142,11 @@ class DiscreteChannel:
         """Parse the JSON channel description.
 
         ``{"inputs":[2,2],"outputs":3,"kernel":[[...]]}`` row-major over
-        joint inputs, or the shorthand ``{"type":"bec","epsilon":0.5}``.
+        joint inputs, or the shorthand ``{"type":"bec","epsilon":0.5}``
+        (``"erasure"`` is another name for ``"bec"``).
         """
         obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-        if obj.get("type") == "bec":
+        if obj.get("type") in ("bec", "erasure"):
             return cls.bec(float(obj["epsilon"]))
         return cls(tuple(obj["inputs"]), int(obj["outputs"]),
                    np.array(obj["kernel"], dtype=float))
@@ -154,24 +155,6 @@ class DiscreteChannel:
         return {"inputs": list(self.input_arities),
                 "outputs": self.output_arity,
                 "kernel": self.kernel.tolist()}
-
-
-@dataclass(frozen=True)
-class ErasureChannel:
-    """Scalar stand-in for a BEC; exact-analysis backend object."""
-
-    erasure_probability: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.erasure_probability <= 1.0:
-            raise ValueError("erasure probability outside [0, 1]")
-
-    @property
-    def capacity(self) -> float:
-        return 1.0 - self.erasure_probability
-
-    def to_discrete(self) -> DiscreteChannel:
-        return DiscreteChannel.bec(self.erasure_probability)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .alignment import ScheduleError
 from .channels import (
     DimensionError,
     DiscreteChannel,
-    ErasureChannel,
     InputDistribution,
     KernelSizeError,
     UnsupportedChannelError,
@@ -126,8 +125,6 @@ def _load_channel(obj):
     if not isinstance(obj, dict):
         raise ConfigurationError("channel description must be an object")
     try:
-        if obj.get("type") == "erasure":
-            return ErasureChannel(float(obj["epsilon"]))
         return DiscreteChannel.from_json(obj)
     except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise ConfigurationError(f"bad channel description: {e}") from e

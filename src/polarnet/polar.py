@@ -16,7 +16,6 @@ import numpy as np
 
 from .channels import (
     DiscreteChannel,
-    ErasureChannel,
     UnsupportedChannelError,
     KernelSizeError,
 )
@@ -58,8 +57,6 @@ class EstimatorConfig:
 
 def _erasure_profile(ch) -> float | None:
     """Equivalent erasure probability if the channel is erasure-type."""
-    if isinstance(ch, ErasureChannel):
-        return ch.erasure_probability
     if not isinstance(ch, DiscreteChannel):
         return None
     if ch.input_arities != (2,):
@@ -96,8 +93,6 @@ def synthesize_p2p(ch, n: int, config: EstimatorConfig | None = None,
             BitChannelStat(i + 1, 1.0 - z[i], z[i], "exact-erasure", 0)
             for i in range(len(z))
         ]
-    if isinstance(ch, ErasureChannel):
-        ch = ch.to_discrete()
     if not isinstance(ch, DiscreteChannel) or ch.input_arities != (2,):
         raise UnsupportedChannelError("binary-input channel required")
     config = config or EstimatorConfig()

@@ -14,14 +14,10 @@ JSON-ready document; ``to_json`` is that document, dumped.
 
 Redundancy removal is one loop: rows are visited in order and a row
 goes when an LP over the rows still kept cannot push it past its bound
-plus the tolerance.  Those LPs run on one HiGHS model of the system,
-each re-solved from the last basis after the tested row is freed and
-the objective changed; a dropped row stays free.  A warm answer is used
-only when it is optimal and clears the row's edge by ``MARGIN``, on a
-system inside ``COEFF_RANGE``; any other row is decided by a cold
-:func:`linprog` over the rows still kept, which imports scipy on its
-first call.  The warm model needs scipy's private HiGHS binding (tested
-with scipy 1.17.1 only); without it every row goes cold.
+plus the tolerance.  Each of those LPs is loaded afresh into one HiGHS
+instance per call, from scipy's private ``scipy.optimize._highspy``
+binding (scipy 1.17, the only version tested); scipy is imported on the
+first LP.
 """
 
 from __future__ import annotations
@@ -191,25 +187,26 @@ def _vertex_enumeration(rows, dim, tol=TOL):
     return sorted(out)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``; scipy is imported on the first solve."""
-    from scipy.optimize import linprog as solve
+def linprog(model, A, b, nonneg, c):
+    """Minimize ``c . x`` subject to ``A x <= b`` (and x >= 0 with
+    ``nonneg``) on the HiGHS instance ``model``, cleared first; the
+    minimum, or None unless the solve ends optimal."""
+    from scipy.optimize._highspy import _core as highs
 
-    return solve(*args, **kwargs)
-
-
-# A warm answer must clear a row's edge, bound + ``tol``, by this share
-# of max(1, |bound|): LP answers carry the solver's own 1e-7 feasibility
-# tolerance, and a warm solve may settle on the other side of that
-# tolerance than a cold one, so a row that only touches the polytope,
-# or misses it by less than that, is left to a cold solve.
-MARGIN = 1e-6
-# Warm solves need every nonzero coefficient within this factor of the
-# largest.  Below it the solver's 1e-7 optimality and 1e-9 matrix-entry
-# tolerances make LP answers depart from exact geometry (a slope of
-# 1e-8 towards an open direction reads as bounded), and only cold
-# solves reproduce what a cold solve answers.
-COEFF_RANGE = 1e6
+    inf = highs.kHighsInf
+    n, dim = A.shape
+    model.clearModel()
+    model.addVars(dim, np.zeros(dim) if nonneg else np.full(dim, -inf),
+                  np.full(dim, inf))
+    row, col = np.nonzero(A)
+    model.addRows(n, np.full(n, -inf), b, len(row),
+                  np.searchsorted(row, np.arange(n)).astype(np.int32),
+                  col.astype(np.int32), A[row, col])
+    model.changeColsCost(dim, np.arange(dim, dtype=np.int32), c)
+    model.run()
+    if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return None
+    return model.getInfo().objective_function_value
 
 
 def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
@@ -220,9 +217,8 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
     side subject to the others cannot exceed its bound.  Rows are
     visited in order and each redundant one is dropped before the next
     is tested, so of two rows that imply each other the later survives.
-    Each row is first solved on one warm model of the system (see
-    :class:`_WarmModel`); a cold :func:`linprog` over the rows still
-    kept decides it when that answer is not clear of the row's edge.
+    Each row's LP holds only the rows still kept; all of them run on one
+    HiGHS instance, reloaded for each.
     """
     norm = []
     seen = set()
@@ -240,76 +236,23 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
         norm.append((tuple(coeffs), bound, label))
     if not norm:
         return []
+    from scipy.optimize._highspy import _core as highs
+
     A = np.array([[float(c) for c in r[0]] for r in norm])
     b = np.array([float(r[1]) for r in norm])
-    sizes = np.abs(A[A != 0])
-    warm = None
-    if sizes.min() * COEFF_RANGE >= sizes.max():
-        try:
-            warm = _WarmModel(A, b, nonneg)
-        except ImportError:     # scipy without its private HiGHS binding
-            pass
-    lim = (0, None) if nonneg else (None, None)
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
     kept = list(range(len(norm)))
     i = 0
     while i < len(kept):
         k = kept[i]
-        edge = b[k] + tol
-        top = warm.maximize(k) if warm else None
-        if top is not None and abs(top - edge) > MARGIN * max(1.0, abs(b[k])):
-            redundant = top <= edge
-        else:
-            others = kept[:i] + kept[i + 1:]
-            res = linprog(-A[k], A_ub=A[others] if others else None,
-                          b_ub=b[others] if others else None,
-                          bounds=[lim] * dim, method="highs")
-            redundant = res.status == 0 and -res.fun <= edge
-        if redundant:
+        others = kept[:i] + kept[i + 1:]
+        low = linprog(model, A[others], b[others], nonneg, -A[k])
+        if low is not None and -low <= b[k] + tol:
             kept.pop(i)
         else:
-            if warm:
-                warm.restore(k, b[k])
             i += 1
     return [norm[k] for k in kept]
-
-
-class _WarmModel:
-    """One HiGHS model of ``A x <= b`` (and x >= 0 with ``nonneg``) whose
-    solves each start from the last basis.  It is built on scipy's
-    private HiGHS binding, present in scipy 1.17.1 (the only version
-    tested); constructing it raises ImportError where that is missing."""
-
-    def __init__(self, A, b, nonneg):
-        from scipy.optimize._highspy import _core as highs
-
-        self.A, self.optimal = A, highs.HighsModelStatus.kOptimal
-        self.inf = inf = highs.kHighsInf
-        n, dim = A.shape
-        self.model = model = highs._Highs()
-        model.setOptionValue("output_flag", False)
-        model.addVars(dim, np.zeros(dim) if nonneg else np.full(dim, -inf),
-                      np.full(dim, inf))
-        row, col = np.nonzero(A)
-        starts = np.searchsorted(row, np.arange(n)).astype(np.int32)
-        model.addRows(n, np.full(n, -inf), b, len(row), starts,
-                      col.astype(np.int32), A[row, col])
-        self.cols = np.arange(dim, dtype=np.int32)
-
-    def maximize(self, k):
-        """Free row k and maximize ``A[k] . x``; None unless optimal.
-
-        The row stays free, which is how a dropped row leaves the model.
-        """
-        self.model.changeRowBounds(k, -self.inf, self.inf)
-        self.model.changeColsCost(len(self.cols), self.cols, -self.A[k])
-        self.model.run()
-        if self.model.getModelStatus() != self.optimal:
-            return None
-        return -self.model.getInfo().objective_function_value
-
-    def restore(self, k, bound):
-        """Put row k back as ``A[k] . x <= bound``."""
-        self.model.changeRowBounds(k, -self.inf, bound)
 
 
 # -- MAC regions ---------------------------------------------------------

@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from polarnet import alignment, codec
+from polarnet import alignment, codec, regions
 from polarnet.erasure import ParityLinkedErasureMAC
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -51,3 +51,21 @@ def test_tracer_hooks_a_small_build(tracer):
                  "alignment.combined_eps_s", "polar.classify_s",
                  "chains.find_two_user_split_s"):
         assert m[name]["value"] > 0, name
+
+
+def test_tracer_counts_one_lp_per_row(tracer):
+    # a scaled duplicate and a zero row are dropped before any LP runs;
+    # each of the 5 rows left is then tested by one LP, kept or not
+    rows = [((1.0, 0.0), 1.0), ((2.0, 0.0), 2.0), ((0.0, 1.0), 1.0),
+            ((1.0, 1.0), 3.0), ((0.0, 0.0), 0.0), ((-1.0, 0.0), 0.0),
+            ((0.0, -1.0), 0.0)]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        tr.begin("op", "op")
+        kept = regions._remove_redundant(rows, 2)
+        tr.end()
+    finally:
+        tr.uninstall()
+    assert len(kept) == 4
+    assert tr.metrics()["regions.linprog_calls"]["value"] == 5

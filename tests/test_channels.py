@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from polarnet.channels import (
     DimensionError,
     DiscreteChannel,
-    ErasureChannel,
     InputDistribution,
     coded_time_sharing_transform,
     minus_combine,
@@ -29,11 +28,6 @@ class TestBasics:
         ch = DiscreteChannel.bec(0.3)
         assert symmetric_capacity(ch) == pytest.approx(0.7, abs=1e-12)
         assert bhattacharyya(ch) == pytest.approx(0.3, abs=1e-12)
-
-    def test_erasure_channel_wrapper(self):
-        e = ErasureChannel(0.25)
-        assert e.capacity == pytest.approx(0.75)
-        assert symmetric_capacity(e.to_discrete()) == pytest.approx(0.75)
 
     def test_binary_adder_bounds(self):
         ch = DiscreteChannel.binary_adder(2)

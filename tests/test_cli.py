@@ -380,6 +380,14 @@ class TestOutputs:
         assert [r.split(",")[0] for r in rows[1:]] == ["-0.0", "0.75"]
         assert all(len(r.split(",")) == 3 for r in rows)
 
+    def test_erasure_channel_region(self, tmp_path):
+        cfg = write(tmp_path, "c.json", {
+            "task": "mac", "channel": {"type": "erasure", "epsilon": 0.5}})
+        assert main(["region", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "region.json").read_text())
+        assert [q["bound"] for q in doc["region"]["inequalities"]] == [0.5]
+
     def test_build_and_simulate(self, tmp_path):
         cfg = write(tmp_path, "c.json", dict(BUILD_CFG, trials=100, chunk=32))
         assert main(["build", "--config", cfg,

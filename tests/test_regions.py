@@ -225,7 +225,7 @@ class TestHanKobayashi:
 
 def reference_remove_redundant(rows, dim, nonneg=False, tol=1e-9):
     """The sequential loop that ``_remove_redundant`` must reproduce:
-    one cold LP per row over the rows still kept, with no warm model."""
+    one ``scipy.optimize.linprog`` per row over the rows still kept."""
     norm = []
     seen = set()
     for r in rows:
@@ -259,11 +259,12 @@ def reference_remove_redundant(rows, dim, nonneg=False, tol=1e-9):
 
 @st.composite
 def redundancy_systems(draw):
-    """Systems of dim + 1 rows and up, since small systems take the warm
-    model too: random facets around a point, then any of a box, a flat
-    direction (an equality), an open direction (no row bounds the last
-    coordinate from above), exact and near-duplicate rows, nearly
-    parallel rows, and a cut of depth near ``tol`` off a vertex."""
+    """Systems of dim + 1 rows and up: random facets around a point and
+    one to three rows with a coefficient of 1e-13 to 1e-7, then any of a
+    box, a flat direction (an equality), an open direction (no row
+    bounds the last coordinate from above), exact and near-duplicate
+    rows, nearly parallel rows, and a cut of depth near ``tol`` off a
+    vertex."""
     dim = draw(st.integers(2, 4))
     small = st.integers(-3, 3)
     x0 = [draw(small) / 2 for _ in range(dim)]
@@ -279,6 +280,13 @@ def redundancy_systems(draw):
         if shape == "open":
             coeffs[-1] = -abs(coeffs[-1])
         add(coeffs, draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])))
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = [draw(small) for _ in range(dim)]
+        coeffs[draw(st.integers(0, dim - 1))] = (
+            draw(st.sampled_from([-1, 1])) * 10.0 ** -draw(st.integers(7, 13)))
+        if shape == "open":
+            coeffs[-1] = -abs(coeffs[-1])
+        add(coeffs, draw(st.sampled_from([0.0, 0.5, 1.0])))
     if shape == "box":
         for j in range(dim):
             e = np.eye(dim)[j]
@@ -347,8 +355,9 @@ CORNER_CUT = ([((-1.019, 3.666), 4.2314444434444445), ((1.0, 0.0), 4.5),
               2, False)
 # Found by hypothesis.  Slopes of 1e-8 and 1e-13 towards the open third
 # coordinate: the solver reads (1, 1, 0) . x <= 0 as redundant, though
-# x1 + x2 grows without bound along them, so only cold solves may decide
-# this system.
+# x1 + x2 grows without bound along them.  That answer rests on the
+# solver's tolerances, so it holds only for an LP of just the rows the
+# loop still keeps.
 TINY_SLOPES = ([((0.0, 1.0, -1.0), 0.0), ((-1.0, 0.0, 0.0), 0.0),
                 ((0.0, 0.0, -1.0), 0.5), ((0.0, 0.0, -1.0), 1.0),
                 ((1.0, 0.0, 0.0), 0.5), ((1.0, 1.0, 0.0), 0.0),
@@ -356,11 +365,10 @@ TINY_SLOPES = ([((0.0, 1.0, -1.0), 0.0), ((-1.0, 0.0, 0.0), 0.0),
                 ((0.0, -1.0, 0.0), 0.5), ((0.0, 0.0, -2.0), 0.5),
                 ((0.0, 1.0, 0.0), 0.5), ((0.0, 1.0, -1e-13), 0.0),
                 ((1.0, 0.0, -1e-08), 0.0)], 3, False)
-# Found by hypothesis with the warm model's margin test removed.  The
-# last row cuts the vertex (-0.5, 4, 0, -0.5) off at depth tol, so its
-# maximum over the others is its bound + tol to the last bit, and a warm
-# solve from another basis lands on the other side of that edge than
-# the cold loop.
+# Found by hypothesis against a loop warm-started from the last basis.
+# The last row cuts the vertex (-0.5, 4, 0, -0.5) off at depth tol, so
+# its maximum over the others is its bound + tol to the last bit, and a
+# solve from another basis lands on the other side of that edge.
 EDGE_CUT = ([((0.0, -1.0, 0.0, 0.0), 0.0), ((0.0, 0.0, -1.0, 0.0), 0.0),
              ((-1.0, 0.0, 1.0, 1.0), 0.0), ((0.0, 0.0, 0.0, 1.0), 0.0),
              ((0.0, 0.0, 0.0, -1.0), 0.5), ((0.0, -1.0, 1.0, -1.0), 0.0),
@@ -369,13 +377,27 @@ EDGE_CUT = ([((0.0, -1.0, 0.0, 0.0), 0.0), ((0.0, 0.0, -1.0, 0.0), 0.0),
              ((0.0, 0.0, 1.0, 0.0), 4.0), ((0.0, 0.0, -1.0, 0.0), 4.0),
              ((0.0, 0.0, 0.0, 1.0), 4.0), ((0.0, 0.0, 0.0, -1.0), 4.0),
              ((-0.143, 0.143, 0.0, 0.0), 0.643499999)], 4, False)
-# Found by a random search with the coefficient-range gate removed.
-# x1 >= 0.5 and x1 <= 0.499999985 + 1e-8 x2 force x2 >= 1.5, so the
-# third row is redundant, and the cold loop finds its maximum -3.5.  A
-# warm solve stops near (0.5, -1.5), where x1 falls short of 0.5 by only
-# 3e-8, inside the solver's 1e-7 tolerance, and reads 2.5.
+# Found by a random search against a loop warm-started from the last
+# basis.  x1 >= 0.5 and x1 <= 0.499999985 + 1e-8 x2 force x2 >= 1.5, so
+# the third row is redundant, and its LP over the others finds the
+# maximum -3.5.  A warm solve stopped near (0.5, -1.5), where x1 falls
+# short of 0.5 by only 3e-8, inside the solver's 1e-7 tolerance, and
+# read 2.5.
 THIN_WEDGE = ([((-1.0, 0.0), -0.5), ((1.0, -1e-08), 0.499999985),
                ((-1.0, -2.0), -1.5), ((-2.0, -1.0), 0.5)], 2, False)
+# Found by hypothesis.  x1 >= 0.5 / 0.999999 and x1 <= 0.5 + 1e-6 x2
+# with x2 <= 0.5 leave the system empty by about 5e-13, inside the
+# solver's tolerances.  The loop's LPs read infeasible and keep every
+# row; a solve warm-started from the last basis read optimal instead.
+NEAR_EMPTY = ([((0.0, 1.0), 0.5), ((0.0, 1.0), 1.0), ((-1.0, 0.0), -0.5),
+               ((1.0, -1e-06), 0.5), ((-0.999999, 0.0), -0.5)], 2, False)
+# A 1e-8 slope in the last row.  HiGHS scales over its whole matrix, so
+# an LP that also holds the dropped rows, left free, answers here
+# otherwise than one of just the rows still kept.
+SLOPE_FREE_ROWS = ([((1.0, 0.0, 0.0), 0.0), ((0.0, 1.0, 0.0), 0.5),
+                    ((1.0, 1.0, 0.0), 0.5), ((0.0, -1.0, 0.0), -0.5),
+                    ((-1.0, 0.0, 0.0), 0.0), ((1.0, 1e-08, 0.0), 0.0)],
+                   3, False)
 
 
 class TestRemoveRedundant:
@@ -387,6 +409,8 @@ class TestRemoveRedundant:
     @example(TINY_SLOPES)
     @example(EDGE_CUT)
     @example(THIN_WEDGE)
+    @example(NEAR_EMPTY)
+    @example(SLOPE_FREE_ROWS)
     def test_matches_sequential_loop(self, system):
         rows, dim, nonneg = system
         assert (outcome(_remove_redundant, rows, dim, nonneg)
