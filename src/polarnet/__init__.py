@@ -27,7 +27,6 @@ from .polar import (  # noqa: F401
     EstimatorConfig,
     IndexClassification,
     classify,
-    polar_encode,
     synthesize_p2p,
 )
 from .chains import (  # noqa: F401

@@ -201,14 +201,12 @@ def _dependency_edges(schedule: AlignmentSchedule, path: MonotonePath,
         decode_set = tuple(range(1, schedule.num_users + 1))
     if path.num_users != len(decode_set) or path.blocklength != N:
         raise ScheduleError("receiver path does not match schedule shape")
-    pos = {u: [] for u in decode_set}   # pos[u][i - 1]: slot of u's bit i
-    for s, lu in enumerate(path.user_sequence):
-        pos[decode_set[lu - 1]].append(s)
+    pos = path.positions.tolist()
     edges = []
-    for u in decode_set:
+    for j, u in enumerate(decode_set):
         for p in schedule.pairs_for_user(u):
-            sa = pos[u][p.index_a - 1]
-            sb = pos[u][p.index_b - 1]
+            sa = pos[j][p.index_a - 1]
+            sb = pos[j][p.index_b - 1]
             if sa > 0:
                 edges.append(((p.block_a, sa - 1), (p.block_b, sb)))
             edges.append(((p.block_b, sb), (p.block_a, sa)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,15 @@ class MonotonePath:
     @property
     def blocklength(self) -> int:
         return len(self.user_sequence) // self.num_users
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Read-only (K, N) slot map: ``positions[j - 1, i - 1]`` is the
+        path slot of user j's bit i, so each row increases."""
+        pos = np.argsort(np.asarray(self.user_sequence), kind="stable")
+        pos = pos.reshape(self.num_users, self.blocklength)
+        pos.flags.writeable = False
+        return pos
 
     def runs(self) -> list[tuple[int, int]]:
         out = []
@@ -146,7 +156,7 @@ def path_rates(mac, path: MonotonePath, evaluator=None) -> PathRateProfile:
     if K != ev.K:
         raise PreconditionError(f"path has {K} users, the MAC has {ev.K}")
     if isinstance(ev, ParityLinkedEvaluator):
-        mi = ev.mac.path_mi_profile(np.asarray(path.user_sequence))
+        mi = ev.mac.path_mi_profile(path)
         mode = "exact-erasure"
     else:
         mi = _path_mi(ev, path)

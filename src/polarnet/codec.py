@@ -12,8 +12,10 @@ never decides a bit wrongly; it only leaves bits erased, and every bit
 it feeds back is known.  So a trial fails exactly when some information
 bit is still erased at its turn, given every earlier bit (genie-aided
 SC), which is a function of the erasure pattern alone.  Each receiver's
-decode order is compiled once into a :class:`FailurePlan`, and the plan
-is evaluated on bit-packed erasure patterns with array operations.
+:class:`FailurePlan` is read once off its path's slot map
+(:attr:`~polarnet.chains.MonotonePath.positions`) and the alignment
+pairs, and evaluated on bit-packed erasure patterns with array
+operations.
 :func:`sc_decode`, with :func:`encode` and :func:`transmit`, stays as
 the reference decoder that the tests compare the plan against.
 :meth:`CompoundCodeSpec.to_dict` gives a code as the JSON-ready document
@@ -87,7 +89,7 @@ class CompoundCodeSpec:
 
     @cached_property
     def failure_plans(self) -> list["FailurePlan"]:
-        """Per receiver, its :class:`FailurePlan`, compiled on first use
+        """Per receiver, its :class:`FailurePlan`, computed on first use
         (the first :func:`simulate` call) and kept with the spec."""
         return [failure_plan(self, r) for r in range(len(self.receivers))]
 
@@ -130,9 +132,8 @@ class CompoundCodeSpec:
 
 def _per_user_stats(rec: ReceiverSpec, path: MonotonePath):
     """Per-index MI vectors of the users a receiver decodes, by global id."""
-    seq = np.asarray(path.user_sequence)
-    prof = rec.mac.path_mi_profile(seq)
-    return {u: prof[seq == j] for j, u in enumerate(rec.decode_set, start=1)}
+    prof = rec.mac.path_mi_profile(path)
+    return dict(zip(rec.decode_set, prof[path.positions]))
 
 
 def _slots(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -336,29 +337,6 @@ class _TreeCursor:
             self.pending, self.posterior = None, None
 
 
-def _receiver_slots(spec: CompoundCodeSpec, receiver: int):
-    """A receiver's slots: what each holds and which pair it belongs to.
-
-    Returns ``slot_var``, where slot s of the receiver's path holds bit
-    i of global user u as ``slot_var[s] == (u, i)``, and the receiver's
-    pairs keyed by their XOR slot and by their promoted slot, each as
-    ``(user, block, index)``.
-    """
-    ds = spec.receivers[receiver].decode_set
-    xor_pair, promoted = {}, {}
-    for u in ds:
-        for p in spec.schedule.pairs_for_user(u):
-            xor_pair[(u, p.block_a, p.index_a)] = p
-            promoted[(u, p.block_b, p.index_b)] = p
-    slot_var = []
-    occ = {}
-    for lu in spec.paths[receiver].user_sequence:
-        u = ds[lu - 1]
-        occ[u] = occ.get(u, 0) + 1
-        slot_var.append((u, occ[u]))
-    return slot_var, xor_pair, promoted
-
-
 def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     """Decode one receiver's observations.
 
@@ -380,7 +358,19 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
         offsets[u] = polar_transform_bits(
             np.asarray(outputs["parity"][u], dtype=np.int8)
         )
-    slot_var, xor_pair, promoted = _receiver_slots(spec, receiver)
+    # slot s of the receiver's path holds bit i of user u as
+    # slot_var[s] == (u, i); pairs are keyed by their XOR slot and by
+    # their promoted slot, each as (user, block, index)
+    pos = spec.paths[receiver].positions
+    slot_var = [None] * pos.size
+    for u, row in zip(ds, pos.tolist()):
+        for i, s in enumerate(row, start=1):
+            slot_var[s] = (u, i)
+    xor_pair, promoted = {}, {}
+    for u in ds:
+        for p in spec.schedule.pairs_for_user(u):
+            xor_pair[(u, p.block_a, p.index_a)] = p
+            promoted[(u, p.block_b, p.index_b)] = p
     info = {u: set(spec.info_sets[u]) for u in ds}
     cursors = [_TreeCursor(anchor[..., b, :]) for b in range(nb)]
     failure = np.zeros(batch, dtype=bool)
@@ -443,7 +433,7 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
 
 @dataclass(frozen=True)
 class FailurePlan:
-    """Where one receiver's SC decoder can fail, read off its decode order.
+    """Where one receiver's SC decoder can fail, for any decode order.
 
     On the erasure MAC, SC decoding never decides a bit wrongly: it only
     leaves bits erased, and every bit it feeds back into a tree is
@@ -471,35 +461,36 @@ class FailurePlan:
 
 
 def failure_plan(spec: CompoundCodeSpec, receiver: int) -> FailurePlan:
-    """Compile a receiver's decode order into its :class:`FailurePlan`.
+    """Read a receiver's :class:`FailurePlan` off its path and schedule.
 
-    Walks the order as :func:`sc_decode` does.  Only the first slot to
-    reach a tree bit decides it, and it can fail only if it holds an
-    information bit of its user and is not an XOR slot.  A promoted slot
-    whose XOR partner is already decided never fails.
+    Within a block, slots decode in path order, so tree bit ``(b, i)``
+    is decided by the user whose bit i comes first in the path, the
+    same user in every block.  That slot can fail only if it holds an
+    information bit of its user; XOR slots never do, as
+    :func:`build_code` freezes them.  A promoted slot ``(bb, ib)`` waits
+    for every slot before its partner's XOR slot ``(ba, ia)``, so tree
+    bit ``(ba, ia)`` is already known unless the same user decides it,
+    at the XOR slot itself; only then does the promoted slot go into
+    ``pairs``.  These are properties of the decoding DAG, so the plan is
+    the same for every decode order that :func:`sc_decode` could walk.
+    Entries come out in tree-bit order.
     """
     nb = spec.schedule.total_blocks
-    slot_var, xor_pair, promoted = _receiver_slots(spec, receiver)
-    info = {u: set(spec.info_sets[u])
-            for u in spec.receivers[receiver].decode_set}
-    decided = set()
+    # first[i - 1]: the path-local user that decides tree bit i
+    first = spec.paths[receiver].positions.argmin(axis=0)
     single, pairs = [], []
-    for b, start, stop in spec.runs[receiver]:
-        for s in range(start, stop):
-            u, i = slot_var[s]
-            if (b, i) in decided:
-                continue
-            decided.add((b, i))
-            if (u, b, i) in xor_pair or (b, i) not in info[u]:
-                continue
-            bit = (i - 1) * nb + b
-            pair = promoted.get((u, b, i))
-            if pair is None:
-                single.append(bit)
-            elif (pair.block_a, pair.index_a) not in decided:
-                pairs.append((bit, (pair.index_a - 1) * nb + pair.block_a))
-    return FailurePlan(np.array(single, dtype=np.intp),
-                       np.array(pairs, dtype=np.intp).reshape(-1, 2))
+    for j, u in enumerate(spec.receivers[receiver].decode_set):
+        b, i = np.array(spec.info_sets[u], dtype=np.intp).reshape(-1, 2).T
+        mine = set(((i - 1) * nb + b)[first[i - 1] == j].tolist())
+        for p in spec.schedule.pairs_for_user(u):
+            bit = (p.index_b - 1) * nb + p.block_b
+            if bit in mine:
+                mine.remove(bit)
+                if first[p.index_a - 1] == j:
+                    pairs.append((bit, (p.index_a - 1) * nb + p.block_a))
+        single += mine
+    return FailurePlan(np.array(sorted(single), dtype=np.intp),
+                       np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2))
 
 
 # -- channel simulation --------------------------------------------------

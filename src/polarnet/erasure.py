@@ -149,20 +149,20 @@ class ParityLinkedErasureMAC:
             return self.sum_capacity()
         return float(subset_size)
 
-    def path_mi_profile(self, user_seq: np.ndarray) -> np.ndarray:
+    def path_mi_profile(self, path) -> np.ndarray:
         """Per-index I(S_i; Y^N | S^{i-1}) along a monotone path.
 
-        The i-th path symbol belonging to user u's k-th occurrence has
-        mutual information 1 if any user already passed occurrence k
-        (the anchor bit is implied through the parities), and otherwise
-        the anchor bit-channel value 1 - eps_k.
+        ``path`` is a :class:`~polarnet.chains.MonotonePath` over this
+        MAC's users.  The i-th path symbol belonging to user u's k-th
+        occurrence has mutual information 1 if any user already passed
+        occurrence k (the anchor bit is implied through the parities),
+        and otherwise the anchor bit-channel value 1 - eps_k.
         """
-        seq = np.asarray(user_seq)
-        N = len(seq) // self.num_users
+        N = path.blocklength
         eps = self.tree_eps(N)
         # k[i]: which occurrence of its user the i-th symbol is
-        hits = seq[:, None] == np.arange(1, self.num_users + 1)
-        k = np.cumsum(hits, axis=0)[np.arange(len(seq)), seq - 1]
+        k = np.empty(len(path.user_sequence), dtype=np.intp)
+        k[path.positions] = np.arange(1, N + 1)
         # highest anchor index decoded before symbol i
         frontier = np.maximum.accumulate(np.concatenate([[0], k[:-1]]))
         return np.where(k <= frontier, 1.0, 1.0 - eps[k - 1])

@@ -1,9 +1,10 @@
-"""Polar transform and point-to-point bit-channel synthesis.
+"""Point-to-point bit-channel synthesis and index classification.
 
-Indexing convention: ``polar_encode`` computes x = u G with the 2x2
-kernel [[1,0],[1,1]] and bit-reversal folded in, so public index i
-(1-based) always refers to the bit U_i decoded i-th under successive
-cancellation.  Index 1 is the all-minus bit-channel.
+Indexing convention: the polar transform
+:func:`~polarnet.erasure.polar_transform_bits` computes x = u G with
+the 2x2 kernel [[1,0],[1,1]] and bit-reversal folded in, so public
+index i (1-based) always refers to the bit U_i decoded i-th under
+successive cancellation.  Index 1 is the all-minus bit-channel.
 """
 
 from __future__ import annotations
@@ -14,28 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    DiscreteChannel,
-    UnsupportedChannelError,
-    KernelSizeError,
-)
+from .channels import DiscreteChannel, UnsupportedChannelError
 from .erasure import bec_bit_channel_eps, polar_transform_bits
 
 
 class ConfigurationError(Exception):
     pass
-
-
-def polar_encode(u) -> np.ndarray:
-    """GF(2) polar transform of a bit sequence of length 2^n.
-
-    Self-inverse: applying it twice returns the input.
-    """
-    u = np.asarray(u, dtype=np.int8) & 1
-    n = u.shape[-1]
-    if n < 1 or n & (n - 1):
-        raise KernelSizeError(f"length {n} is not a power of two")
-    return polar_transform_bits(u)
 
 
 @dataclass(frozen=True)

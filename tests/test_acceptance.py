@@ -23,6 +23,7 @@ from polarnet.channels import (
     plus_combine,
     symmetric_capacity,
 )
+from polarnet.cli import wilson_interval
 from polarnet.codec import (
     ReceiverSpec,
     build_code,
@@ -246,6 +247,22 @@ class TestCriterion7CodecIdentityAndBer:
         errors, trials = simulate(spec, trials=10_000, seed=7)
         worst = max(max(per.values()) for per in errors)
         assert worst / trials < 1e-2
+
+    def test_aligned_instance_block_error(self):
+        # An instance whose code has alignment pairs, so the promoted
+        # slots and their XOR partners take part in the failure plans.
+        # Each receiver's failure rate stays under the union bound of
+        # its information bits' erasure probabilities, which does not
+        # depend on the plan; z = 4 makes a false alarm of a correct
+        # codec rare.
+        spec = _compound([(0.25,), (0.0, 0.5)], (0.85, 0.85), N=1024, k=2,
+                         delta_good=1 - 1e-4, delta_bad=0.1)
+        assert sum(len(spec.schedule.pairs_for_user(u)) for u in (1, 2)) == 10
+        errors, trials = simulate(spec, trials=20_480, seed=7)
+        for r, per in enumerate(errors):
+            bound = sum(spec.var_eps[r][u][b, i - 1]
+                        for u in per for b, i in spec.info_sets[u])
+            assert wilson_interval(max(per.values()), trials, 4.0)[0] <= bound
 
 
 class TestCriterion8GapTrend:

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarnet.chains import (
     MonotonePath,
@@ -45,6 +46,20 @@ class TestMonotonePath:
         q = p.scaled(2)
         assert q.blocklength == 8
         assert q.serialize() == "1^2 2^8 1^6"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda K: st.integers(1, 8).flatmap(
+        lambda N: st.permutations([u for u in range(1, K + 1)
+                                   for _ in range(N)]))))
+    def test_positions_invert_user_sequence(self, seq):
+        p = MonotonePath(tuple(seq), max(seq))
+        pos = p.positions
+        assert pos.shape == (p.num_users, p.blocklength)
+        assert not pos.flags.writeable
+        assert sorted(pos.ravel().tolist()) == list(range(len(seq)))
+        for j, row in enumerate(pos.tolist(), start=1):
+            assert all(seq[s] == j for s in row)
+            assert row == sorted(row)
 
 
 class TestPathRates:

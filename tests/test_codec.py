@@ -227,6 +227,53 @@ def three_user_code():
                       delta_good=1 - 1e-3, delta_bad=0.1, split_eps=0.1)
 
 
+def p2p_code():
+    recs = [ReceiverSpec(ParityLinkedErasureMAC(1, t), (1,))
+            for t in ((0.5,), (0.0, 1.0))]
+    return build_code(recs, (0.5,), N=128, k=3,
+                      delta_good=1 - 1e-3, delta_bad=0.1, split_eps=0.1)
+
+
+def replay_failure_plan(spec, r, order):
+    """A receiver's failure plan found by walking a decode order of
+    ``(block, slot)`` nodes as sc_decode does, as sorted lists.
+
+    Only the first slot to reach a tree bit decides it, and it can fail
+    only if it holds an information bit of its user and is not an XOR
+    slot.  A promoted slot whose XOR partner is already decided never
+    fails.
+    """
+    nb = spec.schedule.total_blocks
+    ds = spec.receivers[r].decode_set
+    slot_var, occ = [], {}
+    for lu in spec.paths[r].user_sequence:
+        u = ds[lu - 1]
+        occ[u] = occ.get(u, 0) + 1
+        slot_var.append((u, occ[u]))
+    xor_pair, promoted = {}, {}
+    for u in ds:
+        for p in spec.schedule.pairs_for_user(u):
+            xor_pair[u, p.block_a, p.index_a] = p
+            promoted[u, p.block_b, p.index_b] = p
+    info = {u: set(spec.info_sets[u]) for u in ds}
+    decided = set()
+    single, pairs = [], []
+    for b, s in order:
+        u, i = slot_var[s]
+        if (b, i) in decided:
+            continue
+        decided.add((b, i))
+        if (u, b, i) in xor_pair or (b, i) not in info[u]:
+            continue
+        bit = (i - 1) * nb + b
+        pair = promoted.get((u, b, i))
+        if pair is None:
+            single.append(bit)
+        elif (pair.block_a, pair.index_a) not in decided:
+            pairs.append((bit, (pair.index_a - 1) * nb + pair.block_a))
+    return sorted(single), sorted(pairs)
+
+
 class TestFailurePlan:
     """The failure plan flags exactly the trials sc_decode gets wrong."""
 
@@ -236,6 +283,23 @@ class TestFailurePlan:
         "three-users-k3": three_user_code,
         "mixed-decode-sets": mixed_code,
     }
+    ORDER_CODES = dict(CODES, readme=lambda: two_user_compound(N=256, k=3),
+                       p2p=p2p_code)
+
+    @pytest.mark.parametrize("code", sorted(ORDER_CODES))
+    def test_plan_matches_replay_in_any_order(self, code):
+        # The plan is read off the path; a walk over the stored runs and
+        # one over a highest-block-first topological order must find it.
+        spec = self.ORDER_CODES[code]()
+        for r, rec in enumerate(spec.receivers):
+            plan = failure_plan(spec, r)
+            want = (sorted(plan.single.tolist()),
+                    sorted(map(tuple, plan.pairs.tolist())))
+            g = decoding_dag(spec.schedule, spec.paths[r], rec.decode_set)
+            high_first = list(nx.lexicographical_topological_sort(
+                g, key=lambda n: (-n[0], n[1])))
+            for order in (expand_runs(spec.runs[r]), high_first):
+                assert replay_failure_plan(spec, r, order) == want
 
     def test_promoted_entries_present(self):
         spec = self.CODES["promoted"]()

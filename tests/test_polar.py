@@ -13,7 +13,6 @@ from polarnet.polar import (
     ConfigurationError,
     EstimatorConfig,
     classify,
-    polar_encode,
     stats_to_csv,
     synthesize_p2p,
 )
@@ -33,8 +32,8 @@ class TestTransform:
             polar_transform_bits(np.array([0, 1], dtype=np.int8)), [1, 1])
 
     def test_polar_encode_rejects_bad_length(self):
-        with pytest.raises(Exception):
-            polar_encode(np.zeros(6, dtype=np.int8))
+        with pytest.raises(ValueError):
+            polar_transform_bits(np.zeros(6, dtype=np.int8))
 
 
 class TestErasureRecursion:

@@ -260,11 +260,12 @@ def reference_remove_redundant(rows, dim, nonneg=False, tol=1e-9):
 @st.composite
 def redundancy_systems(draw):
     """Systems of dim + 1 rows and up: random facets around a point and
-    one to three rows with a coefficient of 1e-13 to 1e-7, then any of a
-    box, a flat direction (an equality), an open direction (no row
-    bounds the last coordinate from above), exact and near-duplicate
-    rows, nearly parallel rows, and a cut of depth near ``tol`` off a
-    vertex."""
+    up to three rows with a coefficient of 1e-13 to 1e-7, then any of a
+    box, a flat direction (an equality, or a row and its opposite, one
+    of them with a slope of up to 1e-6, whose bounds cross or miss by
+    1e-13 to 1e-8), an open direction (no row bounds the last coordinate
+    from above), exact and near-duplicate rows, nearly parallel rows,
+    and a cut of depth near ``tol`` off a vertex."""
     dim = draw(st.integers(2, 4))
     small = st.integers(-3, 3)
     x0 = [draw(small) / 2 for _ in range(dim)]
@@ -280,7 +281,7 @@ def redundancy_systems(draw):
         if shape == "open":
             coeffs[-1] = -abs(coeffs[-1])
         add(coeffs, draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         coeffs = [draw(small) for _ in range(dim)]
         coeffs[draw(st.integers(0, dim - 1))] = (
             draw(st.sampled_from([-1, 1])) * 10.0 ** -draw(st.integers(7, 13)))
@@ -303,9 +304,19 @@ def redundancy_systems(draw):
             depth = draw(st.sampled_from([5e-10, 1e-9, 2e-9]))
             rows.append((tuple(float(c) for c in a), float(a @ v) - depth))
     if draw(st.booleans()):
+        # x_j <= x0_j, c . x <= c . x0 + s (x_j - x0_j) and
+        # f c . x >= f (c . x0 + gap): an equality when s and gap are 0,
+        # else a system empty, or nearly so, by about gap
         coeffs = np.array([draw(small) for _ in range(dim)], float)
-        add(coeffs, 0.0)
-        add(-coeffs, 0.0)
+        e = np.eye(dim)[draw(st.integers(0, dim - (2 if shape == "open"
+                                                    else 1)))]
+        s = draw(st.sampled_from([0.0, 1e-8, 1e-7, 1e-6]))
+        f = draw(st.sampled_from([1.0, 0.999999, 3.0]))
+        gap = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-10, -1e-10,
+                                    1e-8, -1e-8]))
+        add(e, 0.0)
+        add(coeffs - s * e, 0.0)
+        add(-f * coeffs, -f * gap)
     for _ in range(draw(st.integers(0, 4))):
         co, b = rows[draw(st.integers(0, len(rows) - 1))]
         kind = draw(st.sampled_from(["scaled", "bound", "coeff", "slope"]))
