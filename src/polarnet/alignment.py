@@ -24,7 +24,7 @@ positions.  Each receiver decodes the slots ``(block, slot)`` of its
 monotone path; the pairs add dependencies across blocks, and a
 topological order of the resulting DAG certifies successive
 decodability.  Within a block the slots form a chain, so a decode order
-is stored as runs ``(block, start, stop)``: slots start..stop-1 of one
+is given as runs ``(block, start, stop)``: slots start..stop-1 of one
 block, decoded one after another.  A run ends only where a pair lets a
 lower block go next or makes this block wait for another.
 ``AlignmentSchedule.to_dict`` gives the levels and their pairs as a

@@ -19,7 +19,9 @@ Exit codes: 0 success, 2 configuration error (among them a config that
 is not a JSON object, a field of the wrong type, an ``analyze``
 ``"mode"`` other than ``"auto"``, ``"exact"`` or ``"mc"``, ``--exact`` or
 ``--mc`` on a path config, ``--threads`` below 1 and ``--seed`` outside
-[0, 2^64)), 3 precondition error.
+[0, 2^64), and an integer field or decode-set entry that is not an int
+or an integral float), 3 precondition error (among them a
+strong-interference ``grid_resolution`` below 2).
 """
 
 from __future__ import annotations
@@ -98,6 +100,27 @@ def _value(cfg: dict, key: str, kind, default=None):
         raise ConfigurationError(f"bad value for {key!r}: {value!r}") from e
 
 
+def _int(value) -> int:
+    """An integer field: an int that is not a bool, or an integral float."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise TypeError(f"not an integer: {value!r}")
+
+
+def _ints(values) -> tuple[int, ...]:
+    """A list of integer fields, such as a decode set."""
+    if not isinstance(values, list):
+        raise TypeError(f"not a list: {values!r}")
+    return tuple(map(_int, values))
+
+
+def _decode_set(cfg: dict):
+    """The optional ``"decode_set"`` of a region task; None decodes all."""
+    if cfg.get("decode_set") is None:
+        return None
+    return _value(cfg, "decode_set", _ints)
+
+
 def _list(cfg: dict, key: str) -> list:
     value = _require(cfg, key)
     if not isinstance(value, list):
@@ -133,7 +156,7 @@ def _load_channel(obj):
 def _load_mac(obj):
     if isinstance(obj, dict) and obj.get("type") == "parity-linked":
         try:
-            return ParityLinkedErasureMAC(int(obj["users"]),
+            return ParityLinkedErasureMAC(_int(obj["users"]),
                                           _floats(obj["eps_tile"]))
         except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise ConfigurationError(f"bad parity-linked MAC: {e}") from e
@@ -200,11 +223,11 @@ def cmd_analyze(cfg: dict, args) -> int:
                           _stamp_csv(buf.getvalue(), h))
     else:
         ch = _load_channel(_require(cfg, "channel"))
-        n = _value(cfg, "n", int)
+        n = _value(cfg, "n", _int)
         if n < 0:
             raise ConfigurationError(f"n must be non-negative, got {n}")
         est = EstimatorConfig(
-            trials=_value(cfg, "trials", int, 10_000), seed=args.seed
+            trials=_value(cfg, "trials", _int, 10_000), seed=args.seed
         )
         stats = synthesize_p2p(ch, n, est, mode=mode)
         path_out = _write(args.out_dir, "bit_channels.csv",
@@ -219,20 +242,20 @@ def cmd_region(cfg: dict, args) -> int:
     if task == "mac":
         ch = _load_channel(_require(cfg, "channel"))
         p = _load_distribution(cfg.get("p"), ch.input_arities)
-        region = mac_region(ch, p, cfg.get("decode_set"))
+        region = mac_region(ch, p, _decode_set(cfg))
         payload = {"task": task, "region": region.to_dict()}
     elif task == "intersect":
         regions = []
+        decode_set = _decode_set(cfg)
         for entry in _list(cfg, "channels"):
             ch = _load_channel(entry)
             p = _load_distribution(cfg.get("p"), ch.input_arities)
-            regions.append(mac_region(ch, p, cfg.get("decode_set")))
+            regions.append(mac_region(ch, p, decode_set))
         payload = {"task": task, "region": intersect(regions).to_dict()}
     elif task == "hk":
         ch = _load_channel(_require(cfg, "channel"))
         maps = [_symbol_map(m) for m in _list(cfg, "maps")]
-        arities = _value(cfg, "output_arities",
-                         lambda v: tuple(int(a) for a in v))
+        arities = _value(cfg, "output_arities", _ints)
         if len(maps) != 2 or len(arities) != 2 or min(arities) < 1:
             raise ConfigurationError("hk needs two symbol maps and two "
                                      "positive output arities")
@@ -251,7 +274,7 @@ def cmd_region(cfg: dict, args) -> int:
         ch1 = _load_channel(_require(cfg, "channel_y"))
         ch2 = _load_channel(_require(cfg, "channel_z"))
         holds, witness, label = strong_interference_check(
-            ch1, ch2, _value(cfg, "grid_resolution", int, 9))
+            ch1, ch2, _value(cfg, "grid_resolution", _int, 9))
         payload = {"task": task, "holds": holds, "witness": witness,
                    "status": label}
     else:
@@ -272,26 +295,24 @@ def _build_from_config(cfg: dict):
     receivers = []
     for entry in _list(cfg, "receivers"):
         try:
-            mac = ParityLinkedErasureMAC(len(entry["decode_set"]),
+            decode_set = _ints(entry["decode_set"])
+            mac = ParityLinkedErasureMAC(len(decode_set),
                                          _floats(entry["eps_tile"]))
-            receivers.append(ReceiverSpec(mac, tuple(entry["decode_set"])))
+            receivers.append(ReceiverSpec(mac, decode_set))
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigurationError(f"bad receiver {entry!r}: {e}") from e
     target = _value(cfg, "target", _floats)
-    N = _value(cfg, "N", int)
-    k = _value(cfg, "k", int)
+    N = _value(cfg, "N", _int)
+    k = _value(cfg, "k", _int)
     delta_good = _value(cfg, "delta_good", float, 0.99)
     delta_bad = _value(cfg, "delta_bad", float, 0.01)
     split_eps = _value(cfg, "split_eps", float, 0.05)
-    try:
-        return build_code(
-            receivers, target, N=N, k=k,
-            delta_good=delta_good, delta_bad=delta_bad,
-            strategy=cfg.get("strategy", "equal-sum"),
-            split_eps=split_eps,
-        )
-    except (KeyError, TypeError) as e:
-        raise ConfigurationError(f"bad build config: {e}") from e
+    return build_code(
+        receivers, target, N=N, k=k,
+        delta_good=delta_good, delta_bad=delta_bad,
+        strategy=cfg.get("strategy", "equal-sum"),
+        split_eps=split_eps,
+    )
 
 
 def cmd_build(cfg: dict, args) -> int:
@@ -312,8 +333,8 @@ def cmd_build(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     h = _config_hash(cfg)
-    trials = _value(cfg, "trials", int, 1000)
-    chunk = _value(cfg, "chunk", int, 2048)
+    trials = _value(cfg, "trials", _int, 1000)
+    chunk = _value(cfg, "chunk", _int, 2048)
     if trials < 1 or chunk < 1:
         raise ConfigurationError("trials and chunk must be positive")
     spec = _build_from_config(cfg)

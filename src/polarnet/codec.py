@@ -36,6 +36,7 @@ from .alignment import (
     build_schedule,
     combined_eps,
     decode_runs,
+    validate_successive_decodability,
 )
 from .chains import (
     MonotonePath,
@@ -82,9 +83,6 @@ class CompoundCodeSpec:
     jointly_good: dict[int, int]         # user -> |G inter G|
     var_eps: list[dict[int, np.ndarray]]  # per receiver: user it decodes ->
                                           # (blocks, N) erasure probabilities
-    runs: list[list[tuple[int, int, int]]]  # per receiver: its decode order
-                                            # as (block, start, stop) runs of
-                                            # slots start..stop-1 of a block
     shortfall: dict[int, float] = field(default_factory=dict)
 
     @cached_property
@@ -233,9 +231,8 @@ def build_code(receivers, target, N: int, k: int,
         cls[u] = classify(my, other, delta_good, delta_bad)
 
     schedule = build_schedule(cls, k, N)
-    # computing each receiver's order also validates its decodability
-    runs = [decode_runs(schedule, p, rec.decode_set)
-            for rec, p in zip(receivers, paths)]
+    for rec, p in zip(receivers, paths):
+        validate_successive_decodability(schedule, p, rec.decode_set)
 
     M = (1 << k) * N
     var_eps = [{u: combined_eps(schedule, u, 1.0 - s[u]) for u in s}
@@ -261,7 +258,7 @@ def build_code(receivers, target, N: int, k: int,
         paths=paths, schedule=schedule, info_sets=info_sets,
         frozen_sets=frozen_sets, thresholds=(delta_good, delta_bad),
         target=target, receiver_rates=receiver_rates,
-        jointly_good=jointly_good, var_eps=var_eps, runs=runs,
+        jointly_good=jointly_good, var_eps=var_eps,
     )
     for u in range(1, num_users + 1):
         want = min(rr[u] for rr in receiver_rates if u in rr)
@@ -375,17 +372,14 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
     cursors = [_TreeCursor(anchor[..., b, :]) for b in range(nb)]
     failure = np.zeros(batch, dtype=bool)
     var_values = {}
-
-    def record(u, b, i, val):
-        var_values[(u, b, i)] = val
-
-    for b, start, stop in spec.runs[receiver]:
+    for b, start, stop in decode_runs(spec.schedule, spec.paths[receiver],
+                                      ds):
         cur = cursors[b]
         for s in range(start, stop):
             u, i = slot_var[s]
             if i in cur.values:
                 val = sym_xor(cur.values[i], offsets[u][..., b, i - 1])
-                record(u, b, i, val)
+                var_values[(u, b, i)] = val
                 continue
             off = offsets[u][..., b, i - 1]
             if (u, b, i) in xor_pair:
@@ -393,7 +387,7 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
                 pair = xor_pair[(u, b, i)]
                 val = var_values[(u, pair.block_b, pair.index_b)]  # xor var is 0
                 cur.push(i, sym_xor(val, off))
-                record(u, b, i, val)
+                var_values[(u, b, i)] = val
                 continue
             post = cur.peek(i)
             own = sym_xor(post, off)
@@ -416,7 +410,7 @@ def sc_decode(spec: CompoundCodeSpec, receiver: int, outputs):
             else:
                 val = np.zeros_like(est)  # frozen to zero
             cur.push(i, sym_xor(val, off))
-            record(u, b, i, val)
+            var_values[(u, b, i)] = val
 
     messages = {}
     for u in ds:

@@ -84,11 +84,9 @@ class RatePolytope:
 
     # -- queries ---------------------------------------------------------
 
-    def vertices(self, tol: float = TOL) -> list[tuple]:
+    def vertices(self) -> list[tuple]:
         """All extreme points (enumeration of d-subsets of facets)."""
-        return _vertex_enumeration(
-            self._full_system(), self.dimension, tol=tol
-        )
+        return _vertex_enumeration(self._full_system(), self.dimension)
 
     def _full_system(self):
         rows = [(tuple(float(c) for c in q.coeffs), float(q.bound))
@@ -209,7 +207,7 @@ def linprog(model, A, b, nonneg, c):
     return model.getInfo().objective_function_value
 
 
-def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
+def _remove_redundant(rows, dim, nonneg=False):
     """Drop duplicate and LP-redundant inequalities.
 
     ``rows`` is a list of (coeffs, bound[, label]); returns same shape
@@ -226,7 +224,7 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
         coeffs, bound = r[0], r[1]
         label = r[2] if len(r) > 2 else ""
         if all(abs(float(c)) < 1e-14 for c in coeffs):
-            if float(bound) < -tol:
+            if float(bound) < -TOL:
                 raise RegionError("infeasible constant constraint")
             continue
         key = Inequality(tuple(coeffs), float(bound)).scaled()
@@ -248,7 +246,7 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
         k = kept[i]
         others = kept[:i] + kept[i + 1:]
         low = linprog(model, A[others], b[others], nonneg, -A[k])
-        if low is not None and -low <= b[k] + tol:
+        if low is not None and -low <= b[k] + TOL:
             kept.pop(i)
         else:
             i += 1
@@ -256,12 +254,6 @@ def _remove_redundant(rows, dim, nonneg=False, tol=TOL):
 
 
 # -- MAC regions ---------------------------------------------------------
-
-
-def _mi_label(senders, receiver_label, conditioned):
-    inner = ",".join(f"V{j + 1}" for j in senders)
-    cond = "".join("," + f"V{j + 1}" for j in conditioned)
-    return f"I({inner};{receiver_label}{cond})"
 
 
 def mac_region(mac: DiscreteChannel, p: InputDistribution,
@@ -277,19 +269,17 @@ def mac_region(mac: DiscreteChannel, p: InputDistribution,
                    (int(j) for j in decode_set)))
     if not A or any(j < 0 or j >= K for j in A):
         raise DimensionError("decode set must be a nonempty subset of senders")
-    bounds = {}
-    labels = {}
+    q_tag = "|Q" if p.num_q > 1 else ""
+    bounds, labels = {}, {}
     for r in range(1, len(A) + 1):
         for J in itertools.combinations(A, r):
             rest = [j for j in A if j not in J]
-            c = mutual_information(mac, p, list(J), rest)
-            q_tag = "|Q" if p.num_q > 1 else ""
-            bounds[frozenset(J)] = c
-            labels[frozenset(J)] = _mi_label(J, receiver_label, rest)[:-1] \
-                + q_tag + ")"
-    poly = RatePolytope.from_subset_bounds(K, bounds, labels)
+            inner = ",".join(f"V{j + 1}" for j in J)
+            cond = "".join(f",V{j + 1}" for j in rest)
+            bounds[frozenset(J)] = mutual_information(mac, p, list(J), rest)
+            labels[frozenset(J)] = f"I({inner};{receiver_label}{cond}{q_tag})"
     _validate_polymatroid(bounds, A)
-    return poly
+    return RatePolytope.from_subset_bounds(K, bounds, labels)
 
 
 def _validate_polymatroid(bounds, ground):
@@ -521,8 +511,12 @@ def strong_interference_check(ch_y: DiscreteChannel, ch_z: DiscreteChannel,
     Both channels take senders (X, W); the test sweeps product
     distributions with grid_resolution levels per sender probability.
     Returns (holds, witness, "grid-verified"); the witness is the first
-    violating (p_x, p_w) in row-major order, or None.
+    violating (p_x, p_w) in row-major order, or None.  A grid_resolution
+    below 2, which would test no point or only (0, 0), raises RegionError.
     """
+    if grid_resolution < 2:
+        raise RegionError(
+            f"grid_resolution must be at least 2, got {grid_resolution}")
     for ch in (ch_y, ch_z):
         if ch.num_senders != 2 or ch.input_arities != (2, 2):
             raise UnsupportedChannelError(
@@ -576,33 +570,19 @@ def superposition_regions(ch_y1: DiscreteChannel, ch_y2: DiscreteChannel,
     for ch in (ch_y1, ch_y2):
         if ch.num_senders != 2:
             raise DimensionError("derived network must have two senders")
-    out = {}
-    for case, (a1, a2) in SUPERPOSITION_DECODE_SETS.items():
-        r1 = mac_region(ch_y1, p, decode_set=a1, receiver_label="Y1")
-        r2 = mac_region(ch_y2, p, decode_set=a2, receiver_label="Y2")
-        both = intersect([r1, r2])
-        ineqs = [
-            Inequality((float(q.coeffs[0]), float(q.coeffs[1])),
-                       float(q.bound), q.label)
-            for q in both.inequalities
-        ]
-        region = Region2D.from_inequalities(
-            ineqs, metadata={"decode_sets": {"Y1": list(a1), "Y2": list(a2)}}
-        )
-        out[case] = region
-    return out
+    return {case: Region2D.from_inequalities(
+                intersect([mac_region(ch_y1, p, a1, "Y1"),
+                           mac_region(ch_y2, p, a2, "Y2")]).inequalities,
+                metadata={"decode_sets": {"Y1": list(a1), "Y2": list(a2)}})
+            for case, (a1, a2) in SUPERPOSITION_DECODE_SETS.items()}
 
 
 def superposition_case_constraints(ch_y1, ch_y2, p, case: int):
-    """Unreduced symbolic constraint list of one decode-set case."""
+    """Unreduced symbolic constraint list of one decode-set case: the
+    inequalities of both receivers' :func:`mac_region` as
+    ``("R1+R2 <= label", bound)``."""
     a1, a2 = SUPERPOSITION_DECODE_SETS[case]
-    items = []
-    for ch, A, lbl in ((ch_y1, a1, "Y1"), (ch_y2, a2, "Y2")):
-        for r in range(1, len(A) + 1):
-            for J in itertools.combinations(A, r):
-                rest = [j for j in A if j not in J]
-                lhs = "+".join(f"R{j + 1}" for j in J)
-                rhs = _mi_label(J, lbl, rest)
-                items.append((lhs + " <= " + rhs,
-                              mutual_information(ch, p, list(J), rest)))
-    return items
+    return [("+".join(f"R{j + 1}" for j, c in enumerate(q.coeffs) if c)
+             + " <= " + q.label, q.bound)
+            for ch, A, lbl in ((ch_y1, a1, "Y1"), (ch_y2, a2, "Y2"))
+            for q in mac_region(ch, p, A, lbl).inequalities]

@@ -51,7 +51,7 @@ CONTRACT_BASES = [
     ("analyze", {"mac": {"type": "parity-linked", "users": 2,
                          "eps_tile": [0.5]}, "path": "1^2 2^4 1^2"}),
     ("analyze", {"mac": ADDER2, "path": "1^2 2^2"}),
-    ("region", {"task": "mac", "channel": ADDER2}),
+    ("region", {"task": "mac", "channel": ADDER2, "decode_set": [0, 1]}),
     ("region", {"task": "intersect", "channels": [ADDER2, BSC_MAC]}),
     ("region", {"task": "hk", "channel": HK_IC,
                 "maps": [[[0, 1], [1, 0]], [[0, 1], [1, 0]]],
@@ -86,6 +86,14 @@ class TestExitCodes:
         path = write(tmp_path, "c.json", cfg)
         assert main(["build", "--config", path,
                      "--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("grid", [1, 0, -1])
+    def test_grid_resolution_below_two(self, tmp_path, grid):
+        path = write(tmp_path, "c.json",
+                     dict(CONTRACT_BASES[8][1], grid_resolution=grid))
+        out = tmp_path / "out"
+        assert main(["region", "--config", path, "--out-dir", str(out)]) == 3
+        assert not out.exists()
 
     def test_three_receivers_of_one_user(self, tmp_path):
         cfg = dict(BUILD_CFG, receivers=BUILD_CFG["receivers"] + [
@@ -246,12 +254,32 @@ class TestExitCodes:
         ("region", {"task": "intersect", "channels": False}),
         ("region", dict(CONTRACT_BASES[6][1], maps=[None, [[0, 1]]])),
         ("region", dict(CONTRACT_BASES[6][1], output_arities=[3, 2, 1])),
+        ("build", dict(BUILD_CFG, N=64.9)),
+        ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": 2.7}),
+        ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": True}),
+        ("simulate", dict(BUILD_CFG, trials=10, chunk=3.5)),
+        ("region", dict(CONTRACT_BASES[8][1], grid_resolution=2.5)),
+        ("analyze", {"mac": {"type": "parity-linked", "users": 2.5,
+                             "eps_tile": [0.5]}, "path": "1^2 2^4 1^2"}),
+        ("region", dict(CONTRACT_BASES[6][1], output_arities=[3, 2.5])),
+        ("region", dict(CONTRACT_BASES[4][1], decode_set="ab")),
+        ("region", dict(CONTRACT_BASES[4][1], decode_set=5)),
+        ("region", dict(CONTRACT_BASES[4][1], decode_set=[0.5])),
+        ("region", dict(CONTRACT_BASES[5][1], decode_set=[0, "1"])),
+        ("build", dict(BUILD_CFG, receivers=[
+            {"eps_tile": [0.5], "decode_set": [True, 2]},
+            BUILD_CFG["receivers"][1]])),
     ], ids=["tile-length-3", "no-decode-set", "N-not-a-number",
             "trials-not-a-number", "mac-without-eps-tile", "negative-n",
             "no-mc-trials", "unknown-mode", "mode-not-a-string",
             "config-not-an-object", "receivers-not-a-list",
             "path-not-a-string", "n-infinite", "outputs-infinite",
-            "channels-not-a-list", "map-not-a-table", "three-output-arities"])
+            "channels-not-a-list", "map-not-a-table", "three-output-arities",
+            "N-fractional", "n-fractional", "n-bool", "chunk-fractional",
+            "grid-fractional", "users-fractional", "arity-fractional",
+            "decode-set-string", "decode-set-number",
+            "decode-set-fractional", "intersect-decode-set-string-entry",
+            "build-decode-set-bool"])
     def test_bad_config_values(self, tmp_path, command, cfg):
         path = write(tmp_path, "c.json", cfg)
         out = tmp_path / "out"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polarnet import codec
-from polarnet.alignment import decoding_dag, expand_runs
+from polarnet.alignment import decode_runs, decoding_dag, expand_runs
 
 from polarnet.chains import PreconditionError
 from polarnet.codec import (
@@ -172,7 +172,8 @@ def shared_order_code(k=3):
 
 
 class TestSharedOrder:
-    """The decode order is computed once in build_code and reused."""
+    """No decode order is stored: sc_decode walks ``decode_runs`` of the
+    receiver's path on each call."""
 
     @pytest.fixture(scope="class")
     def spec(self):
@@ -184,7 +185,8 @@ class TestSharedOrder:
     def test_orders_match_networkx(self, spec):
         for r, rec in enumerate(spec.receivers):
             g = decoding_dag(spec.schedule, spec.paths[r], rec.decode_set)
-            assert (expand_runs(spec.runs[r])
+            runs = decode_runs(spec.schedule, spec.paths[r], rec.decode_set)
+            assert (expand_runs(runs)
                     == list(nx.lexicographical_topological_sort(g)))
 
     def test_decode_unchanged(self, spec):
@@ -288,7 +290,7 @@ class TestFailurePlan:
 
     @pytest.mark.parametrize("code", sorted(ORDER_CODES))
     def test_plan_matches_replay_in_any_order(self, code):
-        # The plan is read off the path; a walk over the stored runs and
+        # The plan is read off the path; a walk over ``decode_runs`` and
         # one over a highest-block-first topological order must find it.
         spec = self.ORDER_CODES[code]()
         for r, rec in enumerate(spec.receivers):
@@ -298,7 +300,8 @@ class TestFailurePlan:
             g = decoding_dag(spec.schedule, spec.paths[r], rec.decode_set)
             high_first = list(nx.lexicographical_topological_sort(
                 g, key=lambda n: (-n[0], n[1])))
-            for order in (expand_runs(spec.runs[r]), high_first):
+            runs = decode_runs(spec.schedule, spec.paths[r], rec.decode_set)
+            for order in (expand_runs(runs), high_first):
                 assert replay_failure_plan(spec, r, order) == want
 
     def test_promoted_entries_present(self):

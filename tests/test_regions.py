@@ -166,6 +166,23 @@ class TestSuperposition:
             "R1+R2 <= I(V1,V2;Y2)",
         ]
 
+    def test_case_constraints_are_mac_region_rows(self):
+        # Under time sharing the labels carry mac_region's |Q tag, and
+        # each bound is the MAC region's row bound.
+        ch1, ch2 = derived_bc(0.0, 0.1)
+        p = InputDistribution(([[0.5, 0.5], [0.9, 0.1]],
+                               [[0.7, 0.3], [0.2, 0.8]]), [0.4, 0.6])
+        got = superposition_case_constraints(ch1, ch2, p, 3)
+        assert [s for s, _ in got] == [
+            "R1 <= I(V1;Y1|Q)",
+            "R1 <= I(V1;Y2,V2|Q)",
+            "R2 <= I(V2;Y2,V1|Q)",
+            "R1+R2 <= I(V1,V2;Y2|Q)",
+        ]
+        rows = (mac_region(ch1, p, (0,), "Y1").inequalities
+                + mac_region(ch2, p, (0, 1), "Y2").inequalities)
+        assert [b for _, b in got] == [q.bound for q in rows]
+
     def test_identical_receivers_same_region(self):
         ch1, ch2 = derived_bc(0.1, 0.1)
         p = InputDistribution.product([[0.5, 0.5], [0.5, 0.5]])
