@@ -176,13 +176,9 @@ def build_schedule(classifications, k: int,
                                      [b[y][1:] for y in at_III[q:]], after))
     pairs = {u: tuple(e[1] for e in seq[u] if e[0] == "xor") for u in users}
     schedule = AlignmentSchedule(K, N, levels, base, pairs)
-    validate_successive_decodability(schedule, _concatenation_path(K, N))
+    validate_successive_decodability(
+        schedule, MonotonePath(tuple((u, N) for u in range(1, K + 1)), K))
     return schedule
-
-
-def _concatenation_path(K: int, N: int) -> MonotonePath:
-    seq = tuple(u for u in range(1, K + 1) for _ in range(N))
-    return MonotonePath(seq, K)
 
 
 def _dependency_edges(schedule: AlignmentSchedule, path: MonotonePath,
@@ -220,7 +216,7 @@ def decoding_dag(schedule: AlignmentSchedule, path: MonotonePath,
     import networkx as nx
 
     edges = _dependency_edges(schedule, path, decode_set)
-    L = len(path.user_sequence)
+    L = path.positions.size
     g = nx.DiGraph()
     for b in range(schedule.total_blocks):
         g.add_nodes_from((b, s) for s in range(L))
@@ -244,7 +240,7 @@ def decode_runs(schedule: AlignmentSchedule, path: MonotonePath,
     cyclic.
     """
     edges = _dependency_edges(schedule, path, decode_set)
-    L = len(path.user_sequence)
+    L = path.positions.size
     nb = schedule.total_blocks
     succ, waits = {}, {}   # cross-block successors; unmet cross preds
     stops = [[L - 1] for _ in range(nb)]

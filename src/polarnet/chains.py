@@ -1,9 +1,12 @@
 """Monotone chain rules for K-user MACs.
 
 A monotone path is a sequence over user ids in which the j-th
-occurrence of user u stands for that user's j-th transformed bit.  Rate
-evaluation, the two-user sweep construction, and the K-user recursive
-split all run on exact entropy evaluators from :mod:`polarnet.exact`.
+occurrence of user u stands for that user's j-th transformed bit.
+:class:`MonotonePath` keeps it as runs ``(user, length)``, as in
+``1^i 2^N 1^(N-i)``; its slot map and, where a reader needs it, its
+K·N user sequence are derived from the runs.  Rate evaluation, the
+two-user sweep construction, and the K-user recursive split all run on
+exact entropy evaluators from :mod:`polarnet.exact`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,19 @@ class PreconditionError(ValueError):
     pass
 
 
+#: log2 of the largest size a run may ask for: 2^n bit-channels, Monte
+#: Carlo trials x 2^n samples, a path blocklength N or a code length
+#: M = 2^k N.  Larger sizes raise PreconditionError before any allocation.
+SIZE_CAP_LOG2 = 20
+
+
+def check_size(what: str, log2: int, factor: int = 1) -> None:
+    """Raise PreconditionError if ``factor * 2**log2`` exceeds the cap."""
+    if log2 > SIZE_CAP_LOG2 or factor * 2**log2 > 2**SIZE_CAP_LOG2:
+        raise PreconditionError(
+            f"{what} exceeds the size cap 2^{SIZE_CAP_LOG2}")
+
+
 class NotFoundError(RuntimeError):
     def __init__(self, msg, best_gap=None):
         super().__init__(msg)
@@ -36,71 +52,74 @@ class NotFoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonotonePath:
-    """User-id sequence b^{KN}; each user appears exactly N times."""
+    """Runs ``(user, length)`` of a path b^{KN} in which each user appears
+    N times; zero-length runs are dropped, a user's adjacent runs merged."""
 
-    user_sequence: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
     num_users: int
 
     def __post_init__(self):
-        seq = tuple(int(u) for u in self.user_sequence)
-        object.__setattr__(self, "user_sequence", seq)
-        counts = {}
-        for u in seq:
-            counts[u] = counts.get(u, 0) + 1
-        if set(counts) != set(range(1, self.num_users + 1)):
+        runs, counts = [], {}
+        for u, r in self.runs:
+            u, r = int(u), int(r)
+            if r < 0:
+                raise ValueError("run lengths must be non-negative")
+            if r:
+                counts[u] = counts.get(u, 0) + r
+                if runs and runs[-1][0] == u:
+                    r += runs.pop()[1]
+                runs.append((u, r))
+        object.__setattr__(self, "runs", tuple(runs))
+        users = range(1, self.num_users + 1)   # not a set: K may be huge
+        if len(counts) != len(users) or not all(u in users for u in counts):
             raise ValueError("user ids must be exactly 1..K")
         if len(set(counts.values())) != 1:
             raise ValueError("every user must appear equally often")
 
     @property
     def blocklength(self) -> int:
-        return len(self.user_sequence) // self.num_users
+        return sum(r for _, r in self.runs) // self.num_users
+
+    @cached_property
+    def user_sequence(self) -> tuple[int, ...]:
+        """The K·N user ids in path order, built on first read."""
+        return tuple(u for u, r in self.runs for _ in range(r))
 
     @cached_property
     def positions(self) -> np.ndarray:
         """Read-only (K, N) slot map: ``positions[j - 1, i - 1]`` is the
         path slot of user j's bit i, so each row increases."""
-        pos = np.argsort(np.asarray(self.user_sequence), kind="stable")
+        start = np.cumsum([0] + [r for _, r in self.runs])
+        order = sorted(range(len(self.runs)), key=lambda k: self.runs[k][0])
+        pos = np.concatenate([np.arange(start[k], start[k + 1]) for k in order])
         pos = pos.reshape(self.num_users, self.blocklength)
         pos.flags.writeable = False
         return pos
 
-    def runs(self) -> list[tuple[int, int]]:
-        out = []
-        for u in self.user_sequence:
-            if out and out[-1][0] == u:
-                out[-1] = (u, out[-1][1] + 1)
-            else:
-                out.append((u, 1))
-        return out
-
     def serialize(self) -> str:
-        return " ".join(f"{u}^{r}" for u, r in self.runs())
+        return " ".join(f"{u}^{r}" for u, r in self.runs)
 
     @classmethod
     def parse(cls, text: str, num_users: int | None = None) -> "MonotonePath":
-        seq = []
+        runs = []
         for token in text.split():
             m = re.fullmatch(r"(\d+)\^(\d+)", token)
             if not m:
                 raise ValueError(f"bad run token {token!r}")
-            seq.extend([int(m.group(1))] * int(m.group(2)))
-        return cls(tuple(seq), num_users or max(seq))
+            runs.append((int(m.group(1)), int(m.group(2))))
+        return cls(tuple(runs), num_users or max(u for u, r in runs if r))
 
     def scaled(self, factor: int) -> "MonotonePath":
         """Multiply every run length by a power-of-two factor."""
         if factor < 1 or factor & (factor - 1):
             raise ValueError("scale factor must be a power of two")
-        seq = []
-        for u, r in self.runs():
-            seq.extend([u] * (r * factor))
-        return MonotonePath(tuple(seq), self.num_users)
+        return MonotonePath(tuple((u, r * factor) for u, r in self.runs),
+                            self.num_users)
 
 
 def two_user_path(i: int, N: int) -> MonotonePath:
     """The split form: i symbols of user 1, all of user 2, the rest of 1."""
-    seq = (1,) * i + (2,) * N + (1,) * (N - i)
-    return MonotonePath(seq, 2)
+    return MonotonePath(((1, i), (2, N), (1, N - i)), 2)
 
 
 def make_evaluator(mac, N: int):
@@ -148,6 +167,7 @@ def path_rates(mac, path: MonotonePath, evaluator=None) -> PathRateProfile:
     K = path.num_users
     if N & (N - 1):
         raise PreconditionError(f"path blocklength {N} is not a power of two")
+    check_size(f"path blocklength N = {N}", N.bit_length() - 1)
     if isinstance(mac, ParityLinkedErasureMAC) and N % len(mac.eps_tile):
         raise PreconditionError(
             f"path blocklength {N} is not a multiple of the erasure "
@@ -312,10 +332,10 @@ def _solve_split(ev, targets_in) -> KUserSplit:
     ctx = [0] * K
     remaining = {u: float(t) for u, t in enumerate(targets_in, start=1)}
     decisions: list[SplitDecision] = []
-    seq: list[int] = []
+    runs: list[tuple[int, int]] = []
 
     def emit(user, count):
-        seq.extend([user] * count)
+        runs.append((user, count))
         ctx[user - 1] += count
 
     def lead_gain(user, new_len):
@@ -377,6 +397,6 @@ def _solve_split(ev, targets_in) -> KUserSplit:
             solve(rest)
 
     solve(sorted(remaining))
-    path = MonotonePath(tuple(seq), K)
+    path = MonotonePath(tuple(runs), K)
     return KUserSplit(path, _user_rates(path, _path_mi(ev, path)),
                       tuple(targets_in), decisions)

@@ -40,6 +40,14 @@ class KernelSizeError(ValueError):
     """Resulting kernel would exceed the configured size cap."""
 
 
+def strict_int(value) -> int:
+    """An integer JSON field: an int that is not a bool, or an integral
+    float.  Anything else raises TypeError rather than being truncated."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise TypeError(f"not an integer: {value!r}")
+
+
 def _entropy(p: np.ndarray) -> float:
     """Shannon entropy in bits of a (flattened) probability array."""
     p = np.asarray(p, dtype=float).ravel()
@@ -143,12 +151,16 @@ class DiscreteChannel:
 
         ``{"inputs":[2,2],"outputs":3,"kernel":[[...]]}`` row-major over
         joint inputs, or the shorthand ``{"type":"bec","epsilon":0.5}``
-        (``"erasure"`` is another name for ``"bec"``).
+        (``"erasure"`` is another name for ``"bec"``).  The sizes are
+        read with :func:`strict_int`.
         """
         obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
         if obj.get("type") in ("bec", "erasure"):
             return cls.bec(float(obj["epsilon"]))
-        return cls(tuple(obj["inputs"]), int(obj["outputs"]),
+        if not isinstance(obj["inputs"], list):
+            raise TypeError(f"inputs must be a list, got {obj['inputs']!r}")
+        return cls(tuple(map(strict_int, obj["inputs"])),
+                   strict_int(obj["outputs"]),
                    np.array(obj["kernel"], dtype=float))
 
     def to_json(self) -> dict:
@@ -271,24 +283,24 @@ def bhattacharyya(ch: DiscreteChannel) -> float:
 
 
 def _check_combine_args(p_ch: DiscreteChannel, q_ch: DiscreteChannel,
-                        extra_factor: int, cap: int):
+                        extra_factor: int):
     for c in (p_ch, q_ch):
         if not c.is_binary_input():
             raise UnsupportedChannelError("combining needs binary-input channels")
     size = 2 * p_ch.output_arity * q_ch.output_arity * extra_factor
-    if size > cap:
-        raise KernelSizeError(
-            f"combined kernel would have {size} entries (cap {cap})")
+    if size > DEFAULT_KERNEL_CAP:
+        raise KernelSizeError(f"combined kernel would have {size} entries "
+                              f"(cap {DEFAULT_KERNEL_CAP})")
 
 
-def minus_combine(p_ch: DiscreteChannel, q_ch: DiscreteChannel,
-                  cap: int = DEFAULT_KERNEL_CAP) -> DiscreteChannel:
+def minus_combine(p_ch: DiscreteChannel,
+                  q_ch: DiscreteChannel) -> DiscreteChannel:
     """One-step polar 'minus' pairing of two independent channels.
 
     Output alphabet Y1 x Y2; kernel
     ``0.5 * sum_{u2} P(y1 | u1 xor u2) Q(y2 | u2)``.
     """
-    _check_combine_args(p_ch, q_ch, 1, cap)
+    _check_combine_args(p_ch, q_ch, 1)
     P, Q = p_ch.kernel, q_ch.kernel
     out = np.empty((2, p_ch.output_arity * q_ch.output_arity))
     for u1 in range(2):
@@ -297,10 +309,10 @@ def minus_combine(p_ch: DiscreteChannel, q_ch: DiscreteChannel,
     return DiscreteChannel((2,), out.shape[1], out)
 
 
-def plus_combine(p_ch: DiscreteChannel, q_ch: DiscreteChannel,
-                 cap: int = DEFAULT_KERNEL_CAP) -> DiscreteChannel:
+def plus_combine(p_ch: DiscreteChannel,
+                 q_ch: DiscreteChannel) -> DiscreteChannel:
     """One-step polar 'plus' pairing; output alphabet Y1 x Y2 x {0,1}."""
-    _check_combine_args(p_ch, q_ch, 2, cap)
+    _check_combine_args(p_ch, q_ch, 2)
     P, Q = p_ch.kernel, q_ch.kernel
     out = np.empty((2, p_ch.output_arity * q_ch.output_arity * 2))
     for u2 in range(2):

@@ -19,9 +19,10 @@ Exit codes: 0 success, 2 configuration error (among them a config that
 is not a JSON object, a field of the wrong type, an ``analyze``
 ``"mode"`` other than ``"auto"``, ``"exact"`` or ``"mc"``, ``--exact`` or
 ``--mc`` on a path config, ``--threads`` below 1 and ``--seed`` outside
-[0, 2^64), and an integer field or decode-set entry that is not an int
-or an integral float), 3 precondition error (among them a
-strong-interference ``grid_resolution`` below 2).
+[0, 2^64), and an integer field, decode-set, symbol-map or channel-size
+entry that is not an int or an integral float), 3 precondition error
+(among them a strong-interference ``grid_resolution`` below 2 and a
+size past :data:`~polarnet.chains.SIZE_CAP_LOG2`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .channels import (
     InputDistribution,
     KernelSizeError,
     UnsupportedChannelError,
+    strict_int,
 )
 from .chains import (
     MonotonePath,
@@ -100,18 +102,11 @@ def _value(cfg: dict, key: str, kind, default=None):
         raise ConfigurationError(f"bad value for {key!r}: {value!r}") from e
 
 
-def _int(value) -> int:
-    """An integer field: an int that is not a bool, or an integral float."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise TypeError(f"not an integer: {value!r}")
-
-
 def _ints(values) -> tuple[int, ...]:
     """A list of integer fields, such as a decode set."""
     if not isinstance(values, list):
         raise TypeError(f"not a list: {values!r}")
-    return tuple(map(_int, values))
+    return tuple(map(strict_int, values))
 
 
 def _decode_set(cfg: dict):
@@ -129,9 +124,12 @@ def _list(cfg: dict, key: str) -> list:
 
 
 def _symbol_map(table) -> np.ndarray:
-    """One Han-Kobayashi symbol map: a nonempty 2-D table of symbols."""
+    """One Han-Kobayashi symbol map: a nonempty 2-D table of symbols,
+    each read with :func:`strict_int`."""
     try:
-        m = np.array(table, dtype=int)
+        if not isinstance(table, list):
+            raise TypeError(f"not a list: {table!r}")
+        m = np.array([_ints(row) for row in table], dtype=int)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigurationError(f"bad symbol map {table!r}") from e
     if m.ndim != 2 or not m.size or m.min() < 0:
@@ -156,7 +154,7 @@ def _load_channel(obj):
 def _load_mac(obj):
     if isinstance(obj, dict) and obj.get("type") == "parity-linked":
         try:
-            return ParityLinkedErasureMAC(_int(obj["users"]),
+            return ParityLinkedErasureMAC(strict_int(obj["users"]),
                                           _floats(obj["eps_tile"]))
         except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise ConfigurationError(f"bad parity-linked MAC: {e}") from e
@@ -223,11 +221,11 @@ def cmd_analyze(cfg: dict, args) -> int:
                           _stamp_csv(buf.getvalue(), h))
     else:
         ch = _load_channel(_require(cfg, "channel"))
-        n = _value(cfg, "n", _int)
+        n = _value(cfg, "n", strict_int)
         if n < 0:
             raise ConfigurationError(f"n must be non-negative, got {n}")
         est = EstimatorConfig(
-            trials=_value(cfg, "trials", _int, 10_000), seed=args.seed
+            trials=_value(cfg, "trials", strict_int, 10_000), seed=args.seed
         )
         stats = synthesize_p2p(ch, n, est, mode=mode)
         path_out = _write(args.out_dir, "bit_channels.csv",
@@ -274,7 +272,7 @@ def cmd_region(cfg: dict, args) -> int:
         ch1 = _load_channel(_require(cfg, "channel_y"))
         ch2 = _load_channel(_require(cfg, "channel_z"))
         holds, witness, label = strong_interference_check(
-            ch1, ch2, _value(cfg, "grid_resolution", _int, 9))
+            ch1, ch2, _value(cfg, "grid_resolution", strict_int, 9))
         payload = {"task": task, "holds": holds, "witness": witness,
                    "status": label}
     else:
@@ -302,8 +300,8 @@ def _build_from_config(cfg: dict):
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigurationError(f"bad receiver {entry!r}: {e}") from e
     target = _value(cfg, "target", _floats)
-    N = _value(cfg, "N", _int)
-    k = _value(cfg, "k", _int)
+    N = _value(cfg, "N", strict_int)
+    k = _value(cfg, "k", strict_int)
     delta_good = _value(cfg, "delta_good", float, 0.99)
     delta_bad = _value(cfg, "delta_bad", float, 0.01)
     split_eps = _value(cfg, "split_eps", float, 0.05)
@@ -333,8 +331,8 @@ def cmd_build(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     h = _config_hash(cfg)
-    trials = _value(cfg, "trials", _int, 1000)
-    chunk = _value(cfg, "chunk", _int, 2048)
+    trials = _value(cfg, "trials", strict_int, 1000)
+    chunk = _value(cfg, "chunk", strict_int, 2048)
     if trials < 1 or chunk < 1:
         raise ConfigurationError("trials and chunk must be positive")
     spec = _build_from_config(cfg)

@@ -41,6 +41,7 @@ from .alignment import (
 from .chains import (
     MonotonePath,
     PreconditionError,
+    check_size,
     find_two_user_split,
     find_k_user_split,
 )
@@ -80,7 +81,6 @@ class CompoundCodeSpec:
     thresholds: tuple[float, float]
     target: tuple[float, ...]
     receiver_rates: list[dict[int, float]]   # per receiver: user -> R_j
-    jointly_good: dict[int, int]         # user -> |G inter G|
     var_eps: list[dict[int, np.ndarray]]  # per receiver: user it decodes ->
                                           # (blocks, N) erasure probabilities
     shortfall: dict[int, float] = field(default_factory=dict)
@@ -94,6 +94,11 @@ class CompoundCodeSpec:
     @property
     def M(self) -> int:
         return (1 << self.k) * self.N
+
+    @property
+    def jointly_good(self) -> dict[int, int]:
+        """User -> number of jointly good variables, its information bits."""
+        return {u: len(vs) for u, vs in self.info_sets.items()}
 
     @property
     def achieved_rates(self) -> dict[int, float]:
@@ -170,7 +175,7 @@ def _receiver_target(target, rec: ReceiverSpec, strategy: str):
 def _find_receiver_path(rec: ReceiverSpec, rates, N: int, eps: float):
     k = len(rec.decode_set)
     if k == 1:
-        return MonotonePath((1,) * N, 1)
+        return MonotonePath(((1, N),), 1)
     if k == 2:
         return find_two_user_split(rec.mac, rates, eps, N, N_min=N)
     res = find_k_user_split(rec.mac, rates, eps, N, N_min=N)
@@ -193,6 +198,7 @@ def build_code(receivers, target, N: int, k: int,
     """
     if N < 1 or N & (N - 1):
         raise PreconditionError("N must be a power of two")
+    check_size(f"M = 2^k N with k = {k}, N = {N}", N.bit_length() - 1 + k)
     if not receivers:
         raise PreconditionError("at least one receiver required")
     for r in receivers:
@@ -238,7 +244,7 @@ def build_code(receivers, target, N: int, k: int,
     var_eps = [{u: combined_eps(schedule, u, 1.0 - s[u]) for u in s}
                for s in stats]
 
-    info_sets, frozen_sets, jointly_good = {}, {}, {}
+    info_sets, frozen_sets = {}, {}
     for u in range(1, num_users + 1):
         good = np.ones((1 << k, N), dtype=bool)
         for ve in var_eps:
@@ -247,7 +253,6 @@ def build_code(receivers, target, N: int, k: int,
         for p in schedule.pairs_for_user(u):
             good[p.block_a, p.index_a - 1] = False   # jointly-bad XOR
         info_sets[u], frozen_sets[u] = _slots(good), _slots(~good)
-        jointly_good[u] = len(info_sets[u])
 
     # a left-to-right sum: np.sum's pairwise sum would change the floats
     receiver_rates = [{u: sum((1.0 - e).ravel().tolist()) / M
@@ -257,12 +262,11 @@ def build_code(receivers, target, N: int, k: int,
         num_users=num_users, N=N, k=k, receivers=list(receivers),
         paths=paths, schedule=schedule, info_sets=info_sets,
         frozen_sets=frozen_sets, thresholds=(delta_good, delta_bad),
-        target=target, receiver_rates=receiver_rates,
-        jointly_good=jointly_good, var_eps=var_eps,
+        target=target, receiver_rates=receiver_rates, var_eps=var_eps,
     )
     for u in range(1, num_users + 1):
         want = min(rr[u] for rr in receiver_rates if u in rr)
-        have = jointly_good[u] / M
+        have = spec.achieved_rates[u]
         if have < want - split_eps:
             spec.shortfall[u] = want - have
     return spec

@@ -161,7 +161,7 @@ class ParityLinkedErasureMAC:
         N = path.blocklength
         eps = self.tree_eps(N)
         # k[i]: which occurrence of its user the i-th symbol is
-        k = np.empty(len(path.user_sequence), dtype=np.intp)
+        k = np.empty(path.positions.size, dtype=np.intp)
         k[path.positions] = np.arange(1, N + 1)
         # highest anchor index decoded before symbol i
         frontier = np.maximum.accumulate(np.concatenate([[0], k[:-1]]))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import check_size
 from .channels import DiscreteChannel, UnsupportedChannelError
 from .erasure import bec_bit_channel_eps, polar_transform_bits
 
@@ -73,6 +74,7 @@ def synthesize_p2p(ch, n: int, config: EstimatorConfig | None = None,
         raise UnsupportedChannelError(
             "exact synthesis requires an erasure-type channel")
     if eps is not None and mode != "mc":
+        check_size(f"2^n with n = {n}", n)
         z = bec_bit_channel_eps(eps, n)
         return [
             BitChannelStat(i + 1, 1.0 - z[i], z[i], "exact-erasure", 0)
@@ -83,6 +85,7 @@ def synthesize_p2p(ch, n: int, config: EstimatorConfig | None = None,
     config = config or EstimatorConfig()
     if config.trials <= 0:
         raise ConfigurationError("sampled estimation requires a positive trial budget")
+    check_size(f"trials x 2^n = {config.trials} x 2^{n}", n, config.trials)
     return _monte_carlo_stats(ch, n, config)
 
 

@@ -97,8 +97,7 @@ class TestCriterion3TwoUserSweep:
         for lam in np.linspace(0.0, 1.0, 20):
             target = (0.5 + 0.5 * lam, 1.0 - 0.5 * lam)
             path = find_two_user_split(adder, target, 0.05, N)
-            runs = path.runs()
-            users = [u for u, _ in runs]
+            users = [u for u, _ in path.runs]
             assert users in ([1, 2, 1], [2, 1], [1, 2])
         assert time.perf_counter() - start < 30.0
 
@@ -181,7 +180,7 @@ class TestCriterion6SuccessiveDecodability:
             a2 = int(rng.integers(1, N))
             b1 = int(rng.integers(a2, N + 1))
             s = raw_schedule(1, N, [(1, [(0, a1, 1, b1), (1, a2, 0, b2)])])
-            path = MonotonePath((1,) * N, 1)
+            path = MonotonePath(((1, N),), 1)
             with pytest.raises(ScheduleError) as ei:
                 validate_successive_decodability(s, path)
             assert ei.value.cycle
@@ -198,7 +197,7 @@ class TestCriterion6SuccessiveDecodability:
             cls = {1: _balanced_classification(idx[:m], idx[m:m + n])}
             k = int(rng.integers(0, 4))
             s = build_schedule(cls, k, blocklength=N)
-            validate_successive_decodability(s, MonotonePath((1,) * N, 1))
+            validate_successive_decodability(s, MonotonePath(((1, N),), 1))
 
 
 def _compound(tiles, target, N, k, **kw):

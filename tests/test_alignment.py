@@ -84,7 +84,7 @@ class TestDecodability:
     def test_crossed_pairing_rejected(self):
         # two pairs crossing between the same blocks force a cycle
         s = raw_schedule(1, 4, [(1, [(0, 2, 1, 3), (1, 1, 0, 4)])])
-        path = MonotonePath((1, 1, 1, 1), 1)
+        path = MonotonePath(((1, 4),), 1)
         with pytest.raises(ScheduleError) as ei:
             validate_successive_decodability(s, path)
         assert ei.value.cycle
@@ -165,7 +165,7 @@ class TestScheduleDigests:
             cls = {u: _random_classification(rng, N) for u in range(1, K + 1)}
             s = build_schedule(cls, k, N)
             # a random receiver order: its runs or its dependency cycle
-            seq = [u for u in range(1, K + 1) for _ in range(N)]
+            seq = [(u, 1) for u in range(1, K + 1) for _ in range(N)]
             rng.shuffle(seq)
             try:
                 out = decode_runs(s, MonotonePath(tuple(seq), K))
@@ -204,7 +204,8 @@ def small_raw_schedules(draw):
     levels = [(draw(st.integers(1, K)), draw(st.lists(pair, max_size=4)))
               for _ in range(blocks.bit_length() - 1)]
     seq = draw(st.permutations([u for u in range(1, K + 1) for _ in range(N)]))
-    return raw_schedule(K, N, levels), MonotonePath(tuple(seq), K)
+    return (raw_schedule(K, N, levels),
+            MonotonePath(tuple((u, 1) for u in seq), K))
 
 
 class TestDecodeRuns:
@@ -238,7 +239,7 @@ class TestCycleReport:
     def test_crossed_pairing(self):
         s = raw_schedule(1, 4, [(1, [(0, 2, 1, 3), (1, 1, 0, 4)])])
         with pytest.raises(ScheduleError) as ei:
-            validate_successive_decodability(s, MonotonePath((1, 1, 1, 1), 1))
+            validate_successive_decodability(s, MonotonePath(((1, 4),), 1))
         assert str(ei.value) == (
             "combining induces a circular decoding dependency through 6 "
             "slots: (0, 2) -> (0, 3) -> (1, 0) -> (1, 1) -> (1, 2) -> (0, 1)")

@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,9 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarnet.chains import (
+    SIZE_CAP_LOG2,
     MonotonePath,
     NotFoundError,
     PreconditionError,
+    check_size,
     find_k_user_split,
     find_two_user_split,
     make_evaluator,
@@ -21,6 +27,7 @@ from polarnet.chains import (
     two_user_path,
 )
 from polarnet.channels import DiscreteChannel
+from polarnet.cli import main
 from polarnet.erasure import ParityLinkedErasureMAC
 import polarnet
 from polarnet.exact import Adder3Evaluator, BruteForceEvaluator
@@ -33,13 +40,17 @@ OR_MAC = DiscreteChannel.from_function((2, 2), lambda a, b: a | b)
 
 class TestMonotonePath:
     def test_serialize_round_trip(self):
-        p = MonotonePath((1, 1, 2, 2, 2, 2, 1, 1), 2)
+        p = MonotonePath(((1, 2), (2, 4), (1, 2)), 2)
         assert p.serialize() == "1^2 2^4 1^2"
         assert MonotonePath.parse(p.serialize()) == p
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
-            MonotonePath((1, 1, 2), 2)
+            MonotonePath(((1, 2), (2, 1)), 2)
+
+    def test_negative_run_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            MonotonePath(((1, 3), (1, -1), (2, 2)), 2)
 
     def test_scaling(self):
         p = two_user_path(1, 4)
@@ -52,7 +63,7 @@ class TestMonotonePath:
         lambda N: st.permutations([u for u in range(1, K + 1)
                                    for _ in range(N)]))))
     def test_positions_invert_user_sequence(self, seq):
-        p = MonotonePath(tuple(seq), max(seq))
+        p = MonotonePath(tuple((u, 1) for u in seq), max(seq))
         pos = p.positions
         assert pos.shape == (p.num_users, p.blocklength)
         assert not pos.flags.writeable
@@ -62,7 +73,134 @@ class TestMonotonePath:
             assert row == sorted(row)
 
 
+def _expanded_path(seq, K):
+    """(sequence, runs, positions) of a path as MonotonePath built it from
+    its expanded K·N sequence, raising the ValueErrors it raised."""
+    seq = tuple(int(u) for u in seq)
+    counts = {}
+    for u in seq:
+        counts[u] = counts.get(u, 0) + 1
+    if set(counts) != set(range(1, K + 1)):
+        raise ValueError("user ids must be exactly 1..K")
+    if len(set(counts.values())) != 1:
+        raise ValueError("every user must appear equally often")
+    runs = []
+    for u in seq:
+        if runs and runs[-1][0] == u:
+            runs[-1] = (u, runs[-1][1] + 1)
+        else:
+            runs.append((u, 1))
+    pos = np.argsort(np.asarray(seq), kind="stable").reshape(K, -1)
+    return seq, tuple(runs), pos
+
+
+def _expanded_parse(text):
+    seq = []
+    for token in text.split():
+        m = re.fullmatch(r"(\d+)\^(\d+)", token)
+        if not m:
+            raise ValueError(f"bad run token {token!r}")
+        seq.extend([int(m.group(1))] * int(m.group(2)))
+    return _expanded_path(seq, max(seq))
+
+
+def _assert_same_outcome(expanded, build):
+    """``build()`` gives the path that ``expanded()`` describes, or raises
+    an exception of the same type."""
+    try:
+        seq, runs, pos = expanded()
+    except Exception as e:
+        with pytest.raises(Exception) as got:
+            build()
+        assert got.type is type(e)
+        return
+    p = build()
+    assert (p.user_sequence, p.runs) == (seq, runs)
+    assert np.array_equal(p.positions, pos)
+
+
+@st.composite
+def valid_run_lists(draw):
+    """(runs, K) of a valid path, cut into unit runs, so that adjacent
+    runs of one user repeat, with zero-length runs put in between."""
+    K, N = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    seq = draw(st.permutations([u for u in range(1, K + 1) for _ in range(N)]))
+    runs = []
+    for u in seq:
+        runs.append((u, 1))
+        if draw(st.booleans()):
+            runs.append((draw(st.integers(0, K + 1)), 0))
+    return runs, K
+
+
+RUN_LISTS = st.one_of(
+    st.tuples(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)),
+                       max_size=8), st.integers(0, 4)),
+    valid_run_lists())
+TOKENS = st.one_of(
+    st.builds("{}^{}".format, st.integers(0, 4), st.integers(0, 4)),
+    st.sampled_from(["x", "1^", "^2", "1^-1", "-1^2", "1^2^3", "+1^2",
+                     "1.0^2", "1^2.0", "١^٢"]),
+)
+PATH_TEXT = st.one_of(
+    st.lists(st.tuples(TOKENS, st.sampled_from([" ", "  ", "\t"])),
+             max_size=6).map(lambda ts: "".join(t + sep for t, sep in ts)),
+    valid_run_lists().map(
+        lambda case: " ".join(f"{u}^{r}" for u, r in case[0])))
+
+
+class TestRunsMatchExpandedPath:
+    """A path built from runs equals the one built from its expanded
+    sequence: same sequence, runs and slot map, or the same error."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(RUN_LISTS)
+    def test_constructor(self, case):
+        runs, K = case
+        _assert_same_outcome(
+            lambda: _expanded_path([u for u, r in runs for _ in range(r)], K),
+            lambda: MonotonePath(tuple(runs), K))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(PATH_TEXT)
+    def test_parse(self, text):
+        _assert_same_outcome(lambda: _expanded_parse(text),
+                             lambda: MonotonePath.parse(text))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(PATH_TEXT)
+    def test_parse_exit_code(self, tmp_path_factory, text):
+        """The CLI exits 2 on a path string exactly when the expanded
+        parse raised."""
+        try:
+            _expanded_parse(text)
+            rejected = False
+        except ValueError:
+            rejected = True
+        tmp = tmp_path_factory.mktemp("path")
+        cfg = tmp / "c.json"
+        cfg.write_text(json.dumps({
+            "mac": {"type": "parity-linked", "users": 2, "eps_tile": [0.5]},
+            "path": text}))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["analyze", "--config", str(cfg),
+                       "--out-dir", str(tmp / "out")])
+        assert (rc == 2) == rejected
+        assert rc in (0, 2, 3)
+
+
 class TestPathRates:
+    def test_size_cap(self):
+        check_size("at the cap", SIZE_CAP_LOG2)
+        check_size("at the cap", SIZE_CAP_LOG2 - 3, 8)
+        for args in ((SIZE_CAP_LOG2 + 1,), (SIZE_CAP_LOG2 - 3, 9), (10**18,)):
+            with pytest.raises(PreconditionError):
+                check_size("past the cap", *args)
+        big = two_user_path(0, 1).scaled(2 ** (SIZE_CAP_LOG2 + 1))
+        with pytest.raises(PreconditionError, match="size cap"):
+            path_rates(ParityLinkedErasureMAC(2, (0.5,)), big)
+
     def test_corner_point(self):
         # path (V^N, U^N): user 1 decoded last -> (I(U;Y,V), I(V;Y))
         prof = path_rates(ADDER2, two_user_path(0, 8))
@@ -220,7 +358,8 @@ class TestChainDigests:
             d[name].update(repr(value).encode())
 
         corners = np.array([
-            path_rates(ADDER3, MonotonePath(p, 3)).rate_tuple
+            path_rates(ADDER3, MonotonePath(tuple((u, 1) for u in p),
+                                            3)).rate_tuple
             for p in itertools.permutations((1, 2, 3))])
         for j in range(20):
             target = tuple(rng.dirichlet(np.ones(6)) @ corners)
@@ -254,7 +393,8 @@ class TestChainDigests:
                 put("path_rates", (prof.per_index_mi, prof.rate_tuple, prof.mode))
         for _ in range(3):
             seq = tuple(int(u) for u in rng.permutation([1, 2, 3] * 4))
-            prof = path_rates(ADDER3, MonotonePath(seq, 3))
+            prof = path_rates(ADDER3,
+                              MonotonePath(tuple((u, 1) for u in seq), 3))
             put("path_rates", (prof.per_index_mi, prof.rate_tuple, prof.mode))
         for ev in (BruteForceEvaluator(ADDER2, 8), BruteForceEvaluator(ADDER3, 4),
                    Adder3Evaluator(4)):

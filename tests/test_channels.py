@@ -8,6 +8,7 @@ from polarnet.channels import (
     DimensionError,
     DiscreteChannel,
     InputDistribution,
+    KernelSizeError,
     coded_time_sharing_transform,
     minus_combine,
     mutual_information,
@@ -72,6 +73,14 @@ class TestCombining:
                 symmetric_capacity(plus_combine(p, q))
             base = symmetric_capacity(p) + symmetric_capacity(q)
             assert total == pytest.approx(base, abs=1e-10)
+
+    def test_kernel_cap(self):
+        # 2 * 1024 * 1024 entries, past the cap of 2^20
+        wide = DiscreteChannel((2,), 1024, np.full((2, 1024), 1 / 1024))
+        with pytest.raises(KernelSizeError, match="2097152 entries"):
+            minus_combine(wide, wide)
+        with pytest.raises(KernelSizeError, match="4194304 entries"):
+            plus_combine(wide, wide)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

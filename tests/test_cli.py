@@ -40,6 +40,7 @@ ADDER2 = {"inputs": [2, 2], "outputs": 3,
           "kernel": [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]}
 BSC_MAC = {"inputs": [2, 2], "outputs": 2,
            "kernel": [[0.9, 0.1], [0.1, 0.9], [0.1, 0.9], [0.9, 0.1]]}
+BSC = {"inputs": [2], "outputs": 2, "kernel": [[0.9, 0.1], [0.1, 0.9]]}
 HK_IC = {"inputs": [2, 2], "outputs": 6,
          "kernel": [[1 if y == (x1 + x2) * 2 + x2 else 0 for y in range(6)]
                     for x1 in range(2) for x2 in range(2)]}
@@ -63,6 +64,7 @@ CONTRACT_BASES = [
     ("build", BUILD_CFG),
     ("build", dict(BUILD_CFG, N=16, k=3, delta_good=0.9, delta_bad=0.1)),
     ("simulate", dict(BUILD_CFG, N=32, k=2, trials=256, chunk=100)),
+    ("analyze", {"channel": BSC, "n": 3, "trials": 64}),
 ]
 
 
@@ -269,6 +271,17 @@ class TestExitCodes:
         ("build", dict(BUILD_CFG, receivers=[
             {"eps_tile": [0.5], "decode_set": [True, 2]},
             BUILD_CFG["receivers"][1]])),
+        ("analyze", {"mac": ADDER2, "path": "1^2 1000000000^2"}),
+        ("region", dict(CONTRACT_BASES[6][1],
+                        maps=[[[0.5, 1], [1, 0]], [[0, 1], [1, 0]]])),
+        ("region", dict(CONTRACT_BASES[6][1],
+                        maps=[[[0, 1], [1, 0]], [[0, True], [1, 0]]])),
+        ("analyze", {"channel": dict(BSC, inputs=[2.5], outputs=2.0),
+                     "n": 2, "trials": 64}),
+        ("analyze", {"channel": dict(BSC, outputs=2.5), "n": 2,
+                     "trials": 64}),
+        ("analyze", {"channel": dict(BSC, inputs="2"), "n": 2,
+                     "trials": 64}),
     ], ids=["tile-length-3", "no-decode-set", "N-not-a-number",
             "trials-not-a-number", "mac-without-eps-tile", "negative-n",
             "no-mc-trials", "unknown-mode", "mode-not-a-string",
@@ -279,11 +292,29 @@ class TestExitCodes:
             "grid-fractional", "users-fractional", "arity-fractional",
             "decode-set-string", "decode-set-number",
             "decode-set-fractional", "intersect-decode-set-string-entry",
-            "build-decode-set-bool"])
+            "build-decode-set-bool", "path-user-id-huge",
+            "map-entry-fractional", "map-entry-bool", "inputs-fractional",
+            "outputs-fractional", "inputs-string"])
     def test_bad_config_values(self, tmp_path, command, cfg):
         path = write(tmp_path, "c.json", cfg)
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("analyze", {"channel": {"type": "bec", "epsilon": 0.5}, "n": 40}),
+        ("analyze", {"channel": BSC, "n": 10, "trials": 2**20}),
+        ("analyze", {"mac": {"type": "parity-linked", "users": 2,
+                             "eps_tile": [0.5]},
+                     "path": "1^1073741824 2^1073741824"}),
+        ("build", dict(BUILD_CFG, N=2**30)),
+        ("build", dict(BUILD_CFG, k=40)),
+    ], ids=["n", "trials", "path", "N", "k"])
+    def test_size_past_cap(self, tmp_path, command, cfg):
+        # each is refused before it allocates: the sizes need GiB to TiB
+        path = write(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out-dir", str(out)]) == 3
         assert not out.exists()
 
     def test_success(self, tmp_path):

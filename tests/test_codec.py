@@ -30,6 +30,11 @@ def two_user_compound(N=64, k=1, **kw):
 
 
 class TestBuild:
+    def test_paths_stay_runs(self):
+        # the K·N sequence is built only where it is read
+        spec = two_user_compound()
+        assert all("user_sequence" not in p.__dict__ for p in spec.paths)
+
     def test_identical_channels_no_incompatibility(self):
         recs = [ReceiverSpec(ParityLinkedErasureMAC(2, (0.5,)), (1, 2)),
                 ReceiverSpec(ParityLinkedErasureMAC(2, (0.5,)), (1, 2))]
